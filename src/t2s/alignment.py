@@ -203,9 +203,7 @@ def _candidate_values(
 ) -> list[tuple[str, str, str, float]]:
     """(table, column, stored text, similarity), best first."""
     if ctx.index is not None:
-        hits = ctx.index.search_values(
-            literal, ctx.retrieval, ctx.get_embedder(), restrict=restrict
-        )
+        hits = ctx.index.search_values(literal, ctx.retrieval, restrict=restrict)
         return [(h.table, h.column, h.text, h.similarity) for h in hits]
     embedder = ctx.get_embedder()
     try:
@@ -230,15 +228,35 @@ def _candidate_values(
     return scored
 
 
-def _stored_exactly(ctx: AlignmentContext, table: str, column: str, text: str) -> bool:
+def _stored_values(ctx: AlignmentContext, table: str, column: str) -> tuple[str, ...]:
     if ctx.index is not None:
-        return ctx.index.has_value(table, column, text)
-    return any(
-        hit.text == text
-        and hit.table.casefold() == table.casefold()
-        and hit.column.casefold() == column.casefold()
+        return ctx.index.stored_values(table, column)
+    return tuple(
+        hit.text
         for hit in ctx.value_hits
+        if hit.table.casefold() == table.casefold()
+        and hit.column.casefold() == column.casefold()
     )
+
+
+def _same_column_value(
+    ctx: AlignmentContext, table: str, column: str, literal: str
+) -> Optional[str]:
+    """The column's stored spelling of `literal`: exact, then case-blind, then nearest.
+
+    A case-blind match wins before the similarity search, because a
+    stored single word can tie with the true cell there ('York' for
+    'new york' when 'New York' is stored too).
+    """
+    stored = _stored_values(ctx, table, column)
+    if literal in stored:
+        return literal
+    folded = literal.casefold()
+    for text in stored:
+        if text.casefold() == folded:
+            return text
+    hits = _candidate_values(ctx, literal, (table, column))
+    return hits[0][2] if hits else None
 
 
 def agent_align(statement: Statement, ctx: AlignmentContext) -> list[str]:
@@ -253,11 +271,8 @@ def agent_align(statement: Statement, ctx: AlignmentContext) -> list[str]:
             if resolved is None:
                 continue
             table, column = resolved[0].name, resolved[1]
-            if _stored_exactly(ctx, table, column, literal.value):
-                continue
-            same_column = _candidate_values(ctx, literal.value, (table, column))
-            if same_column:
-                replacement = same_column[0][2]
+            replacement = _same_column_value(ctx, table, column, literal.value)
+            if replacement is not None:
                 if replacement != literal.value:
                     flags.append(
                         f"value_replaced:{table}.{column}:"

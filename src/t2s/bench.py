@@ -16,14 +16,13 @@ embedded in every report so numbers stay interpretable later.
 from __future__ import annotations
 
 import json
-import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import BenchError, SqlSyntaxError
-from .pipeline import Deps, PipelineConfig, PipelineResult, run_pipeline
+from .pipeline import ABLATION_FLAGS, Deps, PipelineConfig, PipelineResult, run_pipeline
 from .refine import answer_key, execute_sql
 from .sql_ast import parse_select
 
@@ -139,16 +138,6 @@ def eval_ex(
     )
 
 
-def _median_time(db_path, sql: str, repeats: int, timeout_s: float) -> Optional[float]:
-    timings = []
-    for _ in range(max(1, repeats)):
-        outcome = execute_sql(db_path, sql, timeout_s=timeout_s)
-        if outcome.status != "Rows":
-            return None
-        timings.append(outcome.elapsed)
-    return statistics.median(timings)
-
-
 def rves_reward(time_ratio: float) -> float:
     for minimum, reward in RVES_TIERS:
         if time_ratio >= minimum:
@@ -167,13 +156,13 @@ def eval_rves(
     """Timing-tiered reward; zero whenever the answer is wrong."""
     if not ex_match:
         return 0.0
-    gold_time = _median_time(db_path, gold_sql, repeats, timeout_s)
-    pred_time = _median_time(db_path, pred_sql, repeats, timeout_s)
-    if gold_time is None or pred_time is None:
+    gold = execute_sql(db_path, gold_sql, timeout_s=timeout_s, repeats=repeats)
+    pred = execute_sql(db_path, pred_sql, timeout_s=timeout_s, repeats=repeats)
+    if gold.status != "Rows" or pred.status != "Rows":
         return 0.0
-    if pred_time <= 0.0:
+    if pred.elapsed <= 0.0:
         return RVES_TIERS[0][1]
-    return rves_reward(gold_time / pred_time)
+    return rves_reward(gold.elapsed / pred.elapsed)
 
 
 # -- full runs ------------------------------------------------------------
@@ -272,20 +261,7 @@ def run_bench(
             "correction_max_rounds": config.correction_max_rounds,
             "execution_timeout_s": config.execution_timeout_s,
             "timing_repeats": config.timing_repeats,
-            "ablations": {
-                name: getattr(config, name)
-                for name in (
-                    "no_extraction",
-                    "no_value_retrieval",
-                    "no_column_filtering",
-                    "no_info_alignment",
-                    "no_fewshot",
-                    "no_cot",
-                    "no_alignments",
-                    "no_correction",
-                    "no_vote",
-                )
-            },
+            "ablations": {name: getattr(config, name) for name in ABLATION_FLAGS},
         },
         "rves_tiers": [list(tier) for tier in RVES_TIERS] if with_rves else None,
         "tasks": task_entries,

@@ -24,6 +24,7 @@ from .errors import T2SError
 from .fewshot import FewShotLibrary
 from .gateway import HttpGateway, RecordingGateway, ScriptedGateway
 from .pipeline import (
+    ABLATION_FLAGS,
     Deps,
     PipelineConfig,
     build_fewshot_library,
@@ -32,18 +33,6 @@ from .pipeline import (
 )
 from .schema import SchemaCatalog, ingest_schema, render_schema
 from .value_index import ValueIndex
-
-ABLATION_FLAGS = (
-    "no_extraction",
-    "no_value_retrieval",
-    "no_column_filtering",
-    "no_info_alignment",
-    "no_fewshot",
-    "no_cot",
-    "no_alignments",
-    "no_correction",
-    "no_vote",
-)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -44,18 +44,6 @@ from .value_index import RetrievalConfig, ValueIndex
 KF_CHOICES = (0, 3, 5, 7, 9)
 N_CANDIDATE_CHOICES = (1, 7, 15, 21)
 
-TRACE_STAGES = (
-    "extraction",
-    "value_retrieval",
-    "column_filtering",
-    "info_alignment",
-    "fewshot",
-    "cot",
-    "alignments",
-    "correction",
-    "vote",
-)
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -115,6 +103,12 @@ class PipelineConfig:
         return cls(**data)
 
 
+# One `no_<stage>` switch per stage, in run order; a stage that runs
+# records a trace entry under its own name.
+ABLATION_FLAGS = tuple(f.name for f in fields(PipelineConfig) if f.name.startswith("no_"))
+TRACE_STAGES = tuple(flag[len("no_"):] for flag in ABLATION_FLAGS)
+
+
 @dataclass
 class Deps:
     catalog: SchemaCatalog
@@ -134,9 +128,6 @@ class Deps:
 class CandidateRecord:
     sql_raw: str
     sql: str
-    status: str = ""
-    row_count: int = 0
-    elapsed: float = 0.0
     alignment_flags: list[str] = field(default_factory=list)
     correction_rounds: int = 0
     correction_flags: list[str] = field(default_factory=list)
@@ -291,16 +282,12 @@ def run_pipeline(
 
     # execution
     for record in records:
-        outcome = execute_sql(
+        record.outcome = execute_sql(
             deps.db_path,
             record.sql,
             timeout_s=config.execution_timeout_s,
             repeats=config.timing_repeats,
         )
-        record.status = outcome.status
-        record.row_count = len(outcome.rows)
-        record.elapsed = outcome.elapsed
-        record.outcome = outcome
 
     # correction
     if not config.no_correction and deps.library is not None and deps.gateway is not None:
@@ -326,8 +313,6 @@ def run_pipeline(
                 corrected += 1
             record.sql = result.sql
             record.outcome = result.outcome
-            record.status = result.outcome.status
-            record.row_count = len(result.outcome.rows)
             record.correction_rounds = result.rounds
             record.correction_flags = result.flags
         trace["correction"] = {
@@ -351,12 +336,11 @@ def run_pipeline(
             "fallback": result.fallback,
         }
     winner = records[winner_index]
-    final_outcome = winner.outcome
     return PipelineResult(
         question=question,
         sql=winner.sql,
-        status=winner.status,
-        rows=final_outcome.rows,
+        status=winner.outcome.status,
+        rows=winner.outcome.rows,
         winner_index=winner_index,
         candidates=records,
         trace=trace,

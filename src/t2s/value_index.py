@@ -9,6 +9,10 @@ single stored tokens.
 All scoring is exact cosine over the full matrix.  No approximate
 structure is involved, so results are reproducible and easy to check
 against a brute-force scan.
+
+The saved file holds the stored text only.  Vectors are a pure function
+of that text, so `load` re-embeds it through the same constructor that
+`build` uses, and a loaded index scores exactly as the built one does.
 """
 
 from __future__ import annotations
@@ -26,11 +30,14 @@ from .errors import EmbeddingError, IndexBuildError
 from .schema import ColumnSelection, SchemaCatalog, quote_identifier
 
 FORMAT_NAME = "t2s-value-index"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-# Cells longer than this are embedded from their prefix only; the stored
+# Texts longer than this are embedded from their prefix only; the stored
 # text is kept in full so replacements stay faithful.
 MAX_EMBED_CHARS = 256
+
+# (kind, text, table, column): what the index file stores per entry.
+Record = tuple[str, str, str, str]
 
 
 @dataclass(frozen=True)
@@ -89,26 +96,45 @@ def _word_ngrams(query: str, max_n: int = 3) -> list[str]:
 
 
 class ValueIndex:
-    def __init__(self, db_id: str, entries: list[IndexedEntry], dim: int,
-                 column_aux: Optional[dict[int, np.ndarray]] = None):
+    def __init__(
+        self,
+        db_id: str,
+        records: Iterable[Record],
+        embedder: Optional[Embedder] = None,
+    ):
+        """Embed the records; entries whose text does not embed are left out."""
         self.db_id = db_id
-        self.dim = dim
-        self.entries = entries
-        # Extra vector per column entry for the qualified "table.column"
-        # spelling, keyed by entry index.
-        self._column_aux = column_aux or {}
-        self._cell_idx = [i for i, e in enumerate(entries) if e.kind == "cell_value"]
-        self._col_idx = [i for i, e in enumerate(entries) if e.kind == "column_name"]
-        self._cell_matrix = self._stack([entries[i].vector for i in self._cell_idx])
-        self._col_matrix = self._stack([entries[i].vector for i in self._col_idx])
-        self._col_aux_matrix = self._stack(
-            [self._column_aux.get(i, entries[i].vector) for i in self._col_idx]
+        self.embedder = embedder or TrigramEmbedder()
+        self.dim = self.embedder.dim
+        records = list(records)
+        self._cells, self._cell_matrix = self._embed(
+            [r for r in records if r[0] == "cell_value"]
         )
+        self._columns, self._col_matrix = self._embed(
+            [r for r in records if r[0] == "column_name"]
+        )
+        # Columns also match their qualified "table.column" spelling.
+        self._qualified_matrix = self._stack(
+            [self.embedder.embed(f"{e.table}.{e.column}") for e in self._columns]
+        )
+        self.entries = self._cells + self._columns
         self._by_column: dict[tuple[str, str], list[str]] = {}
-        for i in self._cell_idx:
-            entry = entries[i]
+        for entry in self._cells:
             key = (entry.table.casefold(), entry.column.casefold())
             self._by_column.setdefault(key, []).append(entry.text)
+
+    def _embed(self, records: list[Record]) -> tuple[list[IndexedEntry], np.ndarray]:
+        """Entries and their matrix; each entry's vector is a row of it."""
+        matrix = np.empty((len(records), self.dim), dtype=np.float64)
+        entries: list[IndexedEntry] = []
+        for kind, text, table, column in records:
+            row = len(entries)
+            try:
+                matrix[row] = self.embedder.embed(text[:MAX_EMBED_CHARS])
+            except EmbeddingError:
+                continue
+            entries.append(IndexedEntry(kind, text, table, column, matrix[row]))
+        return entries, matrix[: len(entries)]
 
     def _stack(self, vectors: list[np.ndarray]) -> np.ndarray:
         if not vectors:
@@ -124,8 +150,7 @@ class ValueIndex:
         catalog: SchemaCatalog,
         embedder: Optional[Embedder] = None,
     ) -> "ValueIndex":
-        embedder = embedder or TrigramEmbedder()
-        entries: list[IndexedEntry] = []
+        records: list[Record] = []
         conn = sqlite3.connect(f"file:{Path(db_path)}?mode=ro", uri=True)
         try:
             for table in catalog.tables:
@@ -144,65 +169,33 @@ class ValueIndex:
                         raise IndexBuildError(
                             f"cannot read {table.name}.{col.name}: {exc}"
                         ) from exc
-                    seen: set[str] = set()
-                    for (value,) in rows:
-                        if not isinstance(value, str):
-                            continue
-                        if not value.strip():
-                            continue
-                        if value in seen:
-                            continue
-                        seen.add(value)
-                        try:
-                            vector = embedder.embed(value[:MAX_EMBED_CHARS])
-                        except EmbeddingError:
-                            continue
-                        entries.append(
-                            IndexedEntry(
-                                kind="cell_value",
-                                text=value,
-                                table=table.name,
-                                column=col.name,
-                                vector=vector,
-                            )
-                        )
+                    records.extend(
+                        ("cell_value", value, table.name, col.name)
+                        for (value,) in rows
+                        if isinstance(value, str)
+                    )
         finally:
             conn.close()
-        column_aux: dict[int, np.ndarray] = {}
         for table in catalog.tables:
             for col in table.columns:
-                index = len(entries)
-                entries.append(
-                    IndexedEntry(
-                        kind="column_name",
-                        text=col.name,
-                        table=table.name,
-                        column=col.name,
-                        vector=embedder.embed(col.name),
-                    )
-                )
-                column_aux[index] = embedder.embed(f"{table.name}.{col.name}")
-        return cls(catalog.db_id, entries, embedder.dim, column_aux)
+                records.append(("column_name", col.name, table.name, col.name))
+        return cls(catalog.db_id, records, embedder)
 
     # -- queries ----------------------------------------------------------
 
-    def _probe_vectors(self, query: str, embedder: Embedder) -> np.ndarray:
-        probes = _word_ngrams(query)
+    def _probe_vectors(self, query: str) -> np.ndarray:
         vectors = []
-        for probe in probes:
+        for probe in _word_ngrams(query):
             try:
-                vectors.append(embedder.embed(probe))
+                vectors.append(self.embedder.embed(probe))
             except EmbeddingError:
                 continue
-        if not vectors:
-            return np.zeros((0, self.dim), dtype=np.float64)
-        return np.stack(vectors)
+        return self._stack(vectors)
 
     def search_values(
         self,
         query: str,
         config: Optional[RetrievalConfig] = None,
-        embedder: Optional[Embedder] = None,
         restrict: Optional[tuple[str, str]] = None,
     ) -> list[ValueHit]:
         """Ranked stored-value hits for a query phrase.
@@ -212,17 +205,16 @@ class ValueIndex:
         before the top_k cut.  `restrict` limits hits to one column.
         """
         config = config or RetrievalConfig()
-        embedder = embedder or TrigramEmbedder(self.dim)
-        probes = self._probe_vectors(query, embedder)
+        probes = self._probe_vectors(query)
         if probes.shape[0] == 0 or self._cell_matrix.shape[0] == 0:
             return []
         scores = (self._cell_matrix @ probes.T).max(axis=1)
-        order = sorted(range(len(self._cell_idx)), key=lambda i: (-scores[i], i))
+        order = sorted(range(len(self._cells)), key=lambda i: (-scores[i], i))
         hits: list[ValueHit] = []
         for i in order:
             if scores[i] < config.threshold:
                 break
-            entry = self.entries[self._cell_idx[i]]
+            entry = self._cells[i]
             if restrict is not None:
                 if (
                     entry.table.casefold() != restrict[0].casefold()
@@ -239,24 +231,22 @@ class ValueIndex:
         query: str,
         catalog: SchemaCatalog,
         config: Optional[RetrievalConfig] = None,
-        embedder: Optional[Embedder] = None,
     ) -> ColumnSelection:
         """Columns whose bare or qualified name resembles the query."""
         config = config or RetrievalConfig()
-        embedder = embedder or TrigramEmbedder(self.dim)
-        probes = self._probe_vectors(query, embedder)
+        probes = self._probe_vectors(query)
         if probes.shape[0] == 0 or self._col_matrix.shape[0] == 0:
             return ColumnSelection(frozenset())
         bare = (self._col_matrix @ probes.T).max(axis=1)
-        qualified = (self._col_aux_matrix @ probes.T).max(axis=1)
+        qualified = (self._qualified_matrix @ probes.T).max(axis=1)
         scores = np.maximum(bare, qualified)
         threshold = config.effective_column_threshold()
-        order = sorted(range(len(self._col_idx)), key=lambda i: (-scores[i], i))
+        order = sorted(range(len(self._columns)), key=lambda i: (-scores[i], i))
         pairs = []
         for i in order:
             if scores[i] < threshold or len(pairs) >= config.top_k:
                 break
-            entry = self.entries[self._col_idx[i]]
+            entry = self._columns[i]
             pairs.append((entry.table, entry.column))
         return ColumnSelection.of(catalog, pairs)
 
@@ -268,7 +258,7 @@ class ValueIndex:
         return text in self._by_column.get((table.casefold(), column.casefold()), ())
 
     def cell_count(self) -> int:
-        return len(self._cell_idx)
+        return len(self._cells)
 
     # -- persistence ------------------------------------------------------
 
@@ -281,20 +271,18 @@ class ValueIndex:
                 "db_id": self.db_id,
             }
             handle.write(json.dumps(header) + "\n")
-            for i, entry in enumerate(self.entries):
+            for entry in self.entries:
                 record = {
                     "kind": entry.kind,
                     "text": entry.text,
                     "table": entry.table,
                     "column": entry.column,
-                    "vector": [round(float(x), 9) for x in entry.vector],
                 }
-                if i in self._column_aux:
-                    record["aux"] = [round(float(x), 9) for x in self._column_aux[i]]
                 handle.write(json.dumps(record) + "\n")
 
     @classmethod
-    def load(cls, path: str | Path) -> "ValueIndex":
+    def load(cls, path: str | Path, embedder: Optional[Embedder] = None) -> "ValueIndex":
+        """Read a saved index and embed its entries as `build` does."""
         with open(path, encoding="utf-8") as handle:
             lines = [line for line in handle if line.strip()]
         if not lines:
@@ -306,27 +294,19 @@ class ValueIndex:
         if header.get("format") != FORMAT_NAME:
             raise IndexBuildError(f"not a value index file: {path}")
         if header.get("version") != FORMAT_VERSION:
-            raise IndexBuildError(f"unsupported index version {header.get('version')!r}")
-        dim = int(header.get("dim", EMBEDDING_DIM))
-        entries: list[IndexedEntry] = []
-        column_aux: dict[int, np.ndarray] = {}
+            raise IndexBuildError(
+                f"unsupported index version {header.get('version')!r} in {path}; "
+                f"re-run `t2s preprocess` to rebuild it"
+            )
+        records: list[Record] = []
         for lineno, raw in enumerate(lines[1:], start=2):
             try:
                 record = json.loads(raw)
-                entry = IndexedEntry(
-                    kind=record["kind"],
-                    text=record["text"],
-                    table=record["table"],
-                    column=record["column"],
-                    vector=np.asarray(record["vector"], dtype=np.float64),
-                )
+                fields = (record["kind"], record["text"], record["table"], record["column"])
+                if not all(isinstance(field, str) for field in fields):
+                    raise TypeError("record fields must be strings")
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise IndexBuildError(f"bad index record at line {lineno}: {exc}") from exc
-            if entry.vector.shape != (dim,):
-                raise IndexBuildError(
-                    f"vector at line {lineno} has shape {entry.vector.shape}, want ({dim},)"
-                )
-            if "aux" in record:
-                column_aux[len(entries)] = np.asarray(record["aux"], dtype=np.float64)
-            entries.append(entry)
-        return cls(header.get("db_id", ""), entries, dim, column_aux)
+            records.append(fields)
+        embedder = embedder or TrigramEmbedder(int(header.get("dim", EMBEDDING_DIM)))
+        return cls(header.get("db_id", ""), records, embedder)

@@ -14,6 +14,8 @@ from t2s import (
     parse_select,
     style_align,
     emit,
+    ingest_schema,
+    ValueIndex,
 )
 
 
@@ -76,6 +78,26 @@ def test_agent_pass_without_index_is_noop(clinical_catalog):
     ctx = AlignmentContext(catalog=clinical_catalog, index=None)
     sql, flags = run_pass(agent_align, "SELECT ID FROM Patient WHERE SEX = 'f'", ctx)
     assert "'f'" in sql and flags == []
+
+
+def test_case_variant_prefers_whole_stored_value(tmp_path):
+    # 'York' ties with 'New York' on the probe 'york'; the stored value that
+    # equals the literal case-blind must win.
+    path = tmp_path / "city.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE city (id INTEGER PRIMARY KEY, name TEXT)")
+    conn.executemany(
+        "INSERT INTO city (name) VALUES (?)", [("York",), ("New York",), ("Boston",)]
+    )
+    conn.commit()
+    conn.close()
+    catalog = ingest_schema(path)
+    ctx = AlignmentContext(catalog=catalog, index=ValueIndex.build(path, catalog))
+    sql, flags = run_pass(
+        agent_align, "SELECT id FROM city WHERE name = 'new york'", ctx
+    )
+    assert "name = 'New York'" in sql
+    assert flags == ["value_replaced:city.name:'new york'->'New York'"]
 
 
 # -- function agent -------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,23 +94,45 @@ def test_stored_values_and_has_value(clinical_index):
     assert not clinical_index.has_value("Patient", "SEX", "X")
 
 
-def test_save_load_round_trip(clinical_index, tmp_path):
+def test_save_load_round_trip(clinical_index, clinical_catalog, tmp_path):
     path = tmp_path / "values.jsonl"
     clinical_index.save(path)
     loaded = ValueIndex.load(path)
     assert loaded.db_id == clinical_index.db_id
     assert loaded.cell_count() == clinical_index.cell_count()
-    for query in ("f", "1991-05-06", "+"):
-        a = [(h.table, h.column, h.text) for h in loaded.search_values(query)]
-        b = [(h.table, h.column, h.text) for h in clinical_index.search_values(query)]
-        assert a == b
+    cfg = RetrievalConfig(threshold=0.0, top_k=50)
+
+    def hits(index, query):
+        return [(h.table, h.column, h.text, h.similarity) for h in index.search_values(query, cfg)]
+
+    for query in ("f", "1991-05-06", "+", "normal Ig A level", "Laboratory.Date"):
+        assert hits(loaded, query) == hits(clinical_index, query)
+        for column_cfg in (cfg, RetrievalConfig(threshold=0.0, top_k=3), RetrievalConfig()):
+            assert loaded.search_columns(query, clinical_catalog, column_cfg) == (
+                clinical_index.search_columns(query, clinical_catalog, column_cfg)
+            )
+    assert [(e.kind, e.text, e.table, e.column) for e in loaded.entries] == [
+        (e.kind, e.text, e.table, e.column) for e in clinical_index.entries
+    ]
+    assert all(
+        np.array_equal(a.vector, b.vector)
+        for a, b in zip(loaded.entries, clinical_index.entries)
+    )
+    records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    assert len(records) == len(clinical_index.entries)
+    assert all(set(record) == {"kind", "text", "table", "column"} for record in records)
 
 
 def test_load_rejects_wrong_format(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps({"format": "something-else", "version": 1}) + "\n")
-    with pytest.raises(IndexBuildError):
-        ValueIndex.load(path)
+    for header in (
+        {"format": "something-else", "version": 1},
+        # version 1 stored vectors; such a file is rebuilt, not read
+        {"format": "t2s-value-index", "version": 1, "dim": 512, "db_id": "x"},
+    ):
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(IndexBuildError):
+            ValueIndex.load(path)
 
 
 def test_load_rejects_broken_line(tmp_path, clinical_index):
