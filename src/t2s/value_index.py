@@ -18,8 +18,9 @@ of that text, so `load` re-embeds it through the same constructor that
 from __future__ import annotations
 
 import json
+import mmap
 import sqlite3
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -95,6 +96,21 @@ def _word_ngrams(query: str, max_n: int = 3) -> list[str]:
     return probes
 
 
+def _mapped_matrix(rows: int, dim: int) -> np.ndarray:
+    """An uninitialised float64 (rows, dim) matrix in its own memory mapping.
+
+    The cell matrix is the one large buffer of an index (31 MB at 8k cells).
+    In its own mapping it goes back to the OS when the index is dropped.  In
+    the malloc heap it would leave a hole there that later small allocations
+    split, so that the next index of the same size no longer fits and each
+    reload can grow the process by a whole matrix.
+    """
+    nbytes = rows * dim * np.dtype(np.float64).itemsize
+    if nbytes == 0:
+        return np.empty((rows, dim), dtype=np.float64)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.float64).reshape(rows, dim)
+
+
 class ValueIndex:
     def __init__(
         self,
@@ -125,7 +141,7 @@ class ValueIndex:
 
     def _embed(self, records: list[Record]) -> tuple[list[IndexedEntry], np.ndarray]:
         """Entries and their matrix; each entry's vector is a row of it."""
-        matrix = np.empty((len(records), self.dim), dtype=np.float64)
+        matrix = _mapped_matrix(len(records), self.dim)
         entries: list[IndexedEntry] = []
         for kind, text, table, column in records:
             row = len(entries)
@@ -221,7 +237,11 @@ class ValueIndex:
                     or entry.column.casefold() != restrict[1].casefold()
                 ):
                     continue
-            hits.append(ValueHit(entry=entry, similarity=float(scores[i])))
+            # The hit gets its own copy of the vector: the entry's is a row
+            # of the index's matrix, and a hit kept in a result would
+            # otherwise keep that whole matrix alive after the index is gone.
+            detached = replace(entry, vector=entry.vector.copy())
+            hits.append(ValueHit(entry=detached, similarity=float(scores[i])))
             if len(hits) >= config.top_k:
                 break
         return hits

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -92,6 +94,18 @@ def test_stored_values_and_has_value(clinical_index):
     assert clinical_index.has_value("Patient", "SEX", "F")
     assert not clinical_index.has_value("Patient", "SEX", "f")  # case matters here
     assert not clinical_index.has_value("Patient", "SEX", "X")
+
+
+def test_hits_outlive_their_index(clinical_db, clinical_catalog):
+    # A result keeps its hits after the index it came from is dropped; the
+    # hits must not keep that index's embedding matrix alive with them.
+    index = ValueIndex.build(clinical_db, clinical_catalog)
+    hits = index.search_values("F")
+    matrix = weakref.ref(index._cell_matrix.base)
+    del index
+    gc.collect()
+    assert matrix() is None
+    assert (hits[0].table, hits[0].column, hits[0].text) == ("Patient", "SEX", "F")
 
 
 def test_save_load_round_trip(clinical_index, clinical_catalog, tmp_path):
