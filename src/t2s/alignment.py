@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-from .embedding import Embedder, TrigramEmbedder, cosine
-from .errors import EmbeddingError
 from .schema import SchemaCatalog, TableDef
 from .sql_ast import (
     Binary,
@@ -51,30 +49,14 @@ from .sql_ast import (
     walk,
     walk_local,
 )
-from .value_index import RetrievalConfig, ValueHit, ValueIndex
-
-
-@dataclass(frozen=True)
-class StyleProfile:
-    """Which stylistic rewrites apply."""
-
-    null_guard_on_order_limit: bool = True
-    prefer_limit_over_max: bool = True
+from .value_index import RetrievalConfig, ValueIndex
 
 
 @dataclass
 class AlignmentContext:
     catalog: SchemaCatalog
     index: Optional[ValueIndex] = None
-    value_hits: Sequence[ValueHit] = ()
-    style_profile: StyleProfile = field(default_factory=StyleProfile)
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
-    embedder: Optional[Embedder] = None
-
-    def get_embedder(self) -> Embedder:
-        if self.embedder is None:
-            self.embedder = TrigramEmbedder()
-        return self.embedder
 
 
 @dataclass
@@ -202,41 +184,8 @@ def _candidate_values(
     ctx: AlignmentContext, literal: str, restrict: Optional[tuple[str, str]]
 ) -> list[tuple[str, str, str, float]]:
     """(table, column, stored text, similarity), best first."""
-    if ctx.index is not None:
-        hits = ctx.index.search_values(literal, ctx.retrieval, restrict=restrict)
-        return [(h.table, h.column, h.text, h.similarity) for h in hits]
-    embedder = ctx.get_embedder()
-    try:
-        query_vec = embedder.embed(literal)
-    except EmbeddingError:
-        return []
-    scored = []
-    for hit in ctx.value_hits:
-        if restrict is not None:
-            if (
-                hit.table.casefold() != restrict[0].casefold()
-                or hit.column.casefold() != restrict[1].casefold()
-            ):
-                continue
-        try:
-            sim = cosine(query_vec, embedder.embed(hit.text))
-        except EmbeddingError:
-            continue
-        if sim >= ctx.retrieval.threshold:
-            scored.append((hit.table, hit.column, hit.text, sim))
-    scored.sort(key=lambda item: -item[3])
-    return scored
-
-
-def _stored_values(ctx: AlignmentContext, table: str, column: str) -> tuple[str, ...]:
-    if ctx.index is not None:
-        return ctx.index.stored_values(table, column)
-    return tuple(
-        hit.text
-        for hit in ctx.value_hits
-        if hit.table.casefold() == table.casefold()
-        and hit.column.casefold() == column.casefold()
-    )
+    hits = ctx.index.search_values(literal, ctx.retrieval, restrict=restrict)
+    return [(h.table, h.column, h.text, h.similarity) for h in hits]
 
 
 def _same_column_value(
@@ -248,7 +197,7 @@ def _same_column_value(
     stored single word can tie with the true cell there ('York' for
     'new york' when 'New York' is stored too).
     """
-    stored = _stored_values(ctx, table, column)
+    stored = ctx.index.stored_values(table, column)
     if literal in stored:
         return literal
     folded = literal.casefold()
@@ -261,7 +210,7 @@ def _same_column_value(
 
 def agent_align(statement: Statement, ctx: AlignmentContext) -> list[str]:
     """Rewrite string predicates to match stored cell spellings."""
-    if ctx.index is None and not ctx.value_hits:
+    if ctx.index is None:
         return []
     flags: list[str] = []
     for select in _each_select(statement):
@@ -464,17 +413,7 @@ def _table_referenced_elsewhere(
     removed: TableDef,
     scope: dict[str, TableDef],
 ) -> bool:
-    roots: list[Node] = []
-    roots.extend(select.items)
-    for other in select.joins:
-        if other is not join and other.on is not None:
-            roots.append(other.on)
-    if select.where is not None:
-        roots.append(select.where)
-    roots.extend(select.group_by)
-    if select.having is not None:
-        roots.append(select.having)
-    roots.extend(select.order_by)
+    roots = [r for r in _local_exprs(select) if r is not join.on]
     removed_columns = {c.name.casefold() for c in removed.columns}
     for root in roots:
         for node in walk_local(root):
@@ -505,14 +444,11 @@ def _table_referenced_elsewhere(
 
 
 def style_align(statement: Statement, ctx: AlignmentContext) -> list[str]:
-    """Apply the answer-style rewrites the profile asks for."""
+    """Prefer ORDER BY + LIMIT to bare MAX/MIN, and guard ranking columns."""
     flags: list[str] = []
-    profile = ctx.style_profile
     for select in _each_select(statement):
-        if profile.prefer_limit_over_max:
-            flags.extend(_rewrite_minmax_to_limit(select))
-        if profile.null_guard_on_order_limit:
-            flags.extend(_guard_order_columns(select, ctx.catalog))
+        flags.extend(_rewrite_minmax_to_limit(select))
+        flags.extend(_guard_order_columns(select, ctx.catalog))
     return flags
 
 

@@ -50,8 +50,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                        help="per-query execution deadline in seconds")
     group.add_argument("--timing-repeats", type=int, default=None,
                        help="executions per timing measurement")
-    group.add_argument("--single-timing", action="store_true",
-                       help="time each query once instead of taking a median")
     group.add_argument("--model", default=None, help="model name sent to the endpoint")
     for flag in ABLATION_FLAGS:
         group.add_argument(
@@ -79,8 +77,6 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         overrides["execution_timeout_s"] = args.timeout
     if args.timing_repeats is not None:
         overrides["timing_repeats"] = args.timing_repeats
-    if args.single_timing:
-        overrides["timing_repeats"] = 1
     if args.model is not None:
         overrides["model_name"] = args.model
     for flag in ABLATION_FLAGS:

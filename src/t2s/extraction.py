@@ -175,7 +175,6 @@ def info_align(
     select_section: str,
     selection: ColumnSelection,
     catalog: SchemaCatalog,
-    apply_expansion: bool = True,
 ) -> tuple[list[tuple[str, str]], Optional[str], ColumnSelection]:
     """Bind answer phrases to SELECT expressions and close the selection.
 
@@ -201,9 +200,7 @@ def info_align(
         if match:
             pairs.append((match.group(0).strip(), ""))
     select_content = "; ".join(phrase for phrase, _ in pairs) if pairs else None
-    if apply_expansion:
-        selection = expand_selection(catalog, selection)
-    return pairs, select_content, selection
+    return pairs, select_content, expand_selection(catalog, selection)
 
 
 def run_extraction(
@@ -215,16 +212,15 @@ def run_extraction(
     retrieval: Optional[RetrievalConfig] = None,
     llm: Optional[LlmConfig] = None,
     stage: Optional[str] = None,
-    use_llm: bool = True,
     retrieve: bool = True,
     filter_cols: bool = True,
     align_info: bool = True,
 ) -> ExtractionResult:
     """Full question-analysis pass; each sub-step can be switched off."""
     retrieval = retrieval or RetrievalConfig()
-    llm_config = (llm or LlmConfig()).with_(temperature=0.0, n_samples=1)
+    llm_config = (llm or LlmConfig()).with_(n_samples=1)
     sections: dict[str, str] = {}
-    if use_llm and gateway is not None:
+    if gateway is not None:
         prompt = build_extraction_prompt(
             question, render_schema(catalog), evidence=evidence
         )
@@ -234,8 +230,7 @@ def run_extraction(
         except GatewayError:
             sections = {}
     result = ExtractionResult(reason=sections.get(MARK_REASON, ""))
-    if use_llm:
-        result.entities = extract_entities(question, sections.get(MARK_VALUES, ""))
+    result.entities = extract_entities(question, sections.get(MARK_VALUES, ""))
     if retrieve and index is not None and result.entities:
         result.value_hits = retrieve_values(index, result.entities, retrieval)
     if filter_cols:

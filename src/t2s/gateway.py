@@ -160,8 +160,9 @@ class HttpGateway:
     """Client for an OpenAI-style chat completions endpoint.
 
     Endpoint and key default to the T2S_LLM_ENDPOINT / T2S_LLM_KEY
-    environment variables.  Requests that fail are retried with
-    exponential backoff; sampling falls back to sequential single
+    environment variables.  Connection errors and the statuses 429, 500,
+    502, 503 and 504 are retried with exponential backoff; any other
+    error status fails at once.  Sampling falls back to sequential single
     completions when the server returns fewer choices than asked.
     """
 
@@ -238,7 +239,8 @@ class HttpGateway:
                         f"server returned {response.status_code}"
                     )
                     continue
-                response.raise_for_status()
+                if response.status_code >= 400:
+                    raise GatewayError(f"server returned {response.status_code}")
                 data = response.json()
                 choices = data.get("choices", [])
                 texts = [

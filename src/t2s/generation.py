@@ -64,7 +64,6 @@ _JOIN_WORD = re.compile(r"\bJOIN\b", re.IGNORECASE)
 class GenerationConfig:
     n_candidates: int = 21
     temperature: float = 0.7
-    rules: tuple[str, ...] = DEFAULT_RULES
 
 
 @dataclass
@@ -97,7 +96,6 @@ def build_generation_prompt(
     fewshot_text: str = "",
     value_lines: Sequence[str] = (),
     select_content: Optional[str] = None,
-    rules: Sequence[str] = DEFAULT_RULES,
     use_cot: bool = True,
 ) -> str:
     """Assemble the generation prompt.
@@ -112,8 +110,7 @@ def build_generation_prompt(
     parts.append(schema_text)
     if value_lines:
         parts.append("\n".join([VALUES_HEADER, *value_lines]))
-    if rules:
-        parts.append("\n".join([RULES_HEADER, *[f"- {rule}" for rule in rules]]))
+    parts.append("\n".join([RULES_HEADER, *[f"- {rule}" for rule in DEFAULT_RULES]]))
     parts.append(COT_INSTRUCTIONS if use_cot else SQL_ONLY_INSTRUCTIONS)
     asked = f"{question} {evidence}".strip() if evidence else question
     header = question_header(asked)

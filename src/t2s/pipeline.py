@@ -257,9 +257,7 @@ def run_pipeline(
     align_ctx = AlignmentContext(
         catalog=deps.catalog,
         index=deps.index,
-        value_hits=tuple(value_hits),
         retrieval=config.retrieval(),
-        embedder=deps.get_embedder(),
     )
     records: list[CandidateRecord] = []
     for cot in generation.candidates:
@@ -360,7 +358,7 @@ def preprocess_database(
 ) -> tuple[SchemaCatalog, ValueIndex]:
     """Ingest the schema and build the value index, optionally saving both."""
     catalog = ingest_schema(db_path, db_id=db_id, description_dir=description_dir)
-    index = ValueIndex.build(db_path, catalog, embedder=embedder or TrigramEmbedder())
+    index = ValueIndex.build(db_path, catalog, embedder=embedder)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

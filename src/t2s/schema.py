@@ -222,9 +222,6 @@ class ColumnSelection:
     def __len__(self) -> int:
         return len(self.members)
 
-    def is_empty(self) -> bool:
-        return not self.members
-
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.members))
 
@@ -402,7 +399,6 @@ def expand_selection(catalog: SchemaCatalog, selection: ColumnSelection) -> Colu
 def render_schema(
     catalog: SchemaCatalog,
     selection: Optional[ColumnSelection] = None,
-    include_descriptions: bool = True,
 ) -> str:
     """Render the prompt schema block.
 
@@ -423,7 +419,7 @@ def render_schema(
                     rt, _, rc = remote.partition(".")
                     notes.append(f"references {qualified_name(rt, rc)}")
             line = f"{qualified_name(table.name, col.name)} ({', '.join(notes)})"
-            if include_descriptions and col.description:
+            if col.description:
                 line += f" -- {col.description}"
             column_lines.append(line)
         if not column_lines:

@@ -45,11 +45,6 @@ Record = tuple[str, str, str, str]
 class RetrievalConfig:
     top_k: int = 10
     threshold: float = 0.65
-    # Column search reuses `threshold` unless this is set.
-    column_threshold: Optional[float] = None
-
-    def effective_column_threshold(self) -> float:
-        return self.threshold if self.column_threshold is None else self.column_threshold
 
 
 @dataclass
@@ -260,11 +255,10 @@ class ValueIndex:
         bare = (self._col_matrix @ probes.T).max(axis=1)
         qualified = (self._qualified_matrix @ probes.T).max(axis=1)
         scores = np.maximum(bare, qualified)
-        threshold = config.effective_column_threshold()
         order = sorted(range(len(self._columns)), key=lambda i: (-scores[i], i))
         pairs = []
         for i in order:
-            if scores[i] < threshold or len(pairs) >= config.top_k:
+            if scores[i] < config.threshold or len(pairs) >= config.top_k:
                 break
             entry = self._columns[i]
             pairs.append((entry.table, entry.column))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from t2s import (
     AlignmentContext,
-    StyleProfile,
     agent_align,
     align_all,
     align_statement,
@@ -164,6 +163,62 @@ def test_join_kept_when_other_table_used(clin_ctx):
     assert flags == []
 
 
+@pytest.fixture(scope="module")
+def chain_ctx(tmp_path_factory):
+    # person -> city -> region, both foreign keys NOT NULL; person.score nullable
+    path = tmp_path_factory.mktemp("chain") / "chain.sqlite"
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE region (id INTEGER PRIMARY KEY, name TEXT);
+        CREATE TABLE city (id INTEGER PRIMARY KEY, pop INTEGER,
+            region_id INTEGER NOT NULL REFERENCES region(id));
+        CREATE TABLE person (id INTEGER PRIMARY KEY, name TEXT, score INTEGER,
+            city_id INTEGER NOT NULL REFERENCES city(id));
+        """
+    )
+    conn.close()
+    return AlignmentContext(catalog=ingest_schema(path))
+
+
+def test_join_kept_for_bare_column_of_joined_table(chain_ctx):
+    # `pop` exists only on city, so it binds to the joined table
+    src = "SELECT p.name, pop FROM person AS p INNER JOIN city AS c ON p.city_id = c.id"
+    sql, flags = run_pass(function_align, src, chain_ctx)
+    assert sql == src
+    assert flags == []
+
+
+def test_join_kept_for_star_of_joined_table(chain_ctx):
+    src = "SELECT c.* FROM person AS p INNER JOIN city AS c ON p.city_id = c.id"
+    sql, flags = run_pass(function_align, src, chain_ctx)
+    assert sql == src
+    assert flags == []
+
+
+def test_join_kept_when_later_join_uses_it(chain_ctx):
+    src = (
+        "SELECT r.name FROM person AS p INNER JOIN city AS c ON p.city_id = c.id"
+        " INNER JOIN region AS r ON c.region_id = r.id"
+    )
+    sql, flags = run_pass(function_align, src, chain_ctx)
+    assert sql == src
+    assert flags == []
+
+
+def test_null_guard_parenthesises_or(chain_ctx):
+    sql, flags = run_pass(
+        style_align,
+        "SELECT name FROM person WHERE name = 'a' OR name = 'b' ORDER BY score DESC LIMIT 1",
+        chain_ctx,
+    )
+    assert sql == (
+        "SELECT name FROM person WHERE (name = 'a' OR name = 'b') AND score IS NOT NULL"
+        " ORDER BY score DESC LIMIT 1"
+    )
+    assert flags == ["null_guard_added:person.score"]
+
+
 def test_dropped_join_semantics_match(clinical_db, clin_ctx):
     before = "SELECT DISTINCT T1.ID FROM Laboratory AS T1 INNER JOIN Patient AS T2 ON T1.ID = T2.ID"
     after, _ = run_pass(function_align, before, clin_ctx)
@@ -225,22 +280,6 @@ def test_existing_guard_not_duplicated(gold_ctx):
     sql, flags = run_pass(style_align, src, gold_ctx)
     assert sql.count("IS NOT NULL") == 1
     assert flags == []
-
-
-def test_style_profile_gates_rewrites(gold_ctx):
-    off = AlignmentContext(
-        catalog=gold_ctx.catalog,
-        index=gold_ctx.index,
-        style_profile=StyleProfile(
-            null_guard_on_order_limit=False, prefer_limit_over_max=False
-        ),
-    )
-    sql, flags = run_pass(style_align, "SELECT MAX(score) FROM table", off)
-    assert sql == "SELECT MAX(score) FROM table"
-    sql, flags = run_pass(
-        style_align, "SELECT ID FROM table ORDER BY score DESC LIMIT 1", off
-    )
-    assert "IS NOT NULL" not in sql
 
 
 # -- combined entry points ------------------------------------------------

@@ -147,7 +147,7 @@ def test_ablate_command(e2e, tmp_path, capsys):
             "--library", str(e2e.library_path),
             "--transcript", str(e2e.transcript_path),
             "--n-candidates", "3",
-            "--single-timing",
+            "--timing-repeats", "1",
             "--out", str(out),
         ]
     )

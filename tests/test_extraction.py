@@ -136,7 +136,6 @@ def test_info_align_binds_phrases(clinical_catalog):
         "How many female patients => COUNT(Patient.ID)",
         sel,
         clinical_catalog,
-        apply_expansion=False,
     )
     assert pairs == [("How many female patients", "COUNT(Patient.ID)")]
     assert content == "How many female patients"
@@ -149,7 +148,6 @@ def test_info_align_drops_hallucinated_phrases(clinical_catalog):
         "average admission fee => AVG(fee)",
         sel,
         clinical_catalog,
-        apply_expansion=False,
     )
     # hallucinated pair gone; wh-phrase fallback takes over
     assert pairs == [("How many female patients are there", "")]
@@ -159,8 +157,7 @@ def test_info_align_drops_hallucinated_phrases(clinical_catalog):
 def test_info_align_wh_fallback_stops_at_punctuation(clinical_catalog):
     sel = ColumnSelection.of(clinical_catalog, [("Patient", "SEX")])
     pairs, _content, _sel = info_align(
-        "Which city, among all, is largest?", "", sel, clinical_catalog,
-        apply_expansion=False,
+        "Which city, among all, is largest?", "", sel, clinical_catalog
     )
     assert pairs == [("Which city", "")]
 
@@ -168,7 +165,7 @@ def test_info_align_wh_fallback_stops_at_punctuation(clinical_catalog):
 def test_info_align_expands_selection(clinical_catalog):
     sel = ColumnSelection.of(clinical_catalog, [("Patient", "SEX")])
     _pairs, _content, expanded = info_align(
-        "How many?", "", sel, clinical_catalog, apply_expansion=True
+        "How many?", "", sel, clinical_catalog
     )
     # key closure pulls in the pk and the child table's join column
     assert ("Patient", "ID") in expanded
@@ -182,7 +179,6 @@ def test_info_align_multiple_pairs_joined(clinical_catalog):
         "the name => t.name\nthe score => t.score",
         sel,
         clinical_catalog,
-        apply_expansion=False,
     )
     assert len(pairs) == 2
     assert content == "the name; the score"

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+import requests
 
 from t2s import (
     GatewayError,
+    HttpGateway,
     LlmConfig,
     RecordingGateway,
     ScriptedGateway,
@@ -120,3 +122,58 @@ def test_transcript_errors_name_the_line(tmp_path):
 def test_missing_transcript_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         ScriptedGateway.from_transcript(tmp_path / "absent.jsonl")
+
+
+# -- HTTP client ----------------------------------------------------------
+
+
+class FakeResponse:
+    def __init__(self, status_code, texts=()):
+        self.status_code = status_code
+        self._texts = texts
+
+    def json(self):
+        return {"choices": [{"message": {"content": t}} for t in self._texts]}
+
+    def raise_for_status(self):
+        if self.status_code >= 400:
+            raise requests.HTTPError(f"{self.status_code} error")
+
+
+class FakeSession:
+    """Answers each post with the next scripted response."""
+
+    def __init__(self, *responses):
+        self.responses = list(responses)
+        self.posted = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posted.append(json)
+        return self.responses.pop(0)
+
+
+def http_gateway(session):
+    return HttpGateway(endpoint="http://model.test/v1", session=session, backoff=0)
+
+
+def test_http_client_error_is_not_retried():
+    session = FakeSession(*[FakeResponse(401) for _ in range(4)])
+    with pytest.raises(GatewayError):
+        http_gateway(session).complete("p", CFG)
+    assert len(session.posted) == 1
+
+
+def test_http_server_error_is_retried():
+    session = FakeSession(FakeResponse(503), FakeResponse(200, ["SELECT 1"]))
+    got = http_gateway(session).complete("p", CFG)
+    assert got.texts == ("SELECT 1",)
+    assert len(session.posted) == 2
+
+
+def test_http_short_reply_tops_up_one_at_a_time():
+    session = FakeSession(
+        FakeResponse(200, ["a"]), FakeResponse(200, ["b"]), FakeResponse(200, ["c"])
+    )
+    got = http_gateway(session).complete("p", CFG.with_(n_samples=3))
+    assert got.texts == ("a", "b", "c")
+    assert [payload["n"] for payload in session.posted] == [3, 1, 1]

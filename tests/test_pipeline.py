@@ -6,6 +6,7 @@ from t2s import (
     Deps,
     FewShotLibrary,
     IngestError,
+    LlmConfig,
     PipelineConfig,
     ScriptedGateway,
     ValueIndex,
@@ -122,6 +123,39 @@ def test_pipeline_without_gateway_needs_no_llm_stages(e2e):
     assert "extraction" not in result.trace
     assert "correction" not in result.trace
     assert "fewshot" not in result.trace
+
+
+def test_pipeline_sends_configured_model_settings(e2e):
+    inner = ScriptedGateway(e2e.replies)
+    seen = []
+
+    class Recorder:
+        def complete(self, prompt, config, stage=None):
+            seen.append((stage.split(":")[0], config))
+            return inner.complete(prompt, config, stage=stage)
+
+    cfg = e2e.config.with_(
+        extraction_temperature=0.2,
+        generation_temperature=0.9,
+        refinement_temperature=0.4,
+        model_name="test-model",
+        max_tokens=512,
+    )
+    result = run_pipeline(
+        "How many distinct patients had a lab test in 1996?",
+        e2e.make_deps(gateway=Recorder()),
+        cfg,
+        question_id="q10",
+    )
+    assert result.rows == ((1,),)
+    expected = {
+        "extraction": LlmConfig("test-model", 0.2, 1, 512),
+        "cot": LlmConfig("test-model", 0.9, 3, 512),
+        "correction": LlmConfig("test-model", 0.4, 1, 512),
+    }
+    assert {stage for stage, _ in seen} == set(expected)
+    for stage, config in seen:
+        assert config == expected[stage], stage
 
 
 def test_pipeline_deterministic_across_runs(e2e):

@@ -56,6 +56,17 @@ def test_execute_allows_with_and_values(clinical_db):
     assert execute_sql(clinical_db, "  /* note */ SELECT 1").status == "Rows"
 
 
+def test_execute_read_gate_skips_comments(clinical_db):
+    out = execute_sql(clinical_db, "-- note\nDELETE FROM Patient")
+    assert out.status == "Error"
+    assert out.error_text == "only read queries are executed"
+    assert execute_sql(clinical_db, "/* note */ SELECT 1").rows == ((1,),)
+    out = execute_sql(clinical_db, "/* open SELECT 1")
+    assert out.status == "Error"
+    assert out.error_text == "only read queries are executed"
+    assert execute_sql(clinical_db, "SELECT COUNT(*) FROM Patient").rows == ((5,),)
+
+
 def test_execute_reports_sql_errors(clinical_db):
     out = execute_sql(clinical_db, "SELECT * FROM NoSuchTable")
     assert out.status == "Error"

@@ -158,11 +158,6 @@ def test_load_rejects_broken_line(tmp_path, clinical_index):
         ValueIndex.load(path)
 
 
-def test_effective_column_threshold():
-    assert RetrievalConfig(threshold=0.5).effective_column_threshold() == 0.5
-    assert RetrievalConfig(threshold=0.5, column_threshold=0.9).effective_column_threshold() == 0.9
-
-
 # -- brute-force agreement ------------------------------------------------
 
 
