@@ -180,14 +180,6 @@ def _string_predicates(select: Select) -> list[tuple[Node, ColumnRef, StringLit]
     return out
 
 
-def _candidate_values(
-    ctx: AlignmentContext, literal: str, restrict: Optional[tuple[str, str]]
-) -> list[tuple[str, str, str, float]]:
-    """(table, column, stored text, similarity), best first."""
-    hits = ctx.index.search_values(literal, ctx.retrieval, restrict=restrict)
-    return [(h.table, h.column, h.text, h.similarity) for h in hits]
-
-
 def _same_column_value(
     ctx: AlignmentContext, table: str, column: str, literal: str
 ) -> Optional[str]:
@@ -204,8 +196,8 @@ def _same_column_value(
     for text in stored:
         if text.casefold() == folded:
             return text
-    hits = _candidate_values(ctx, literal, (table, column))
-    return hits[0][2] if hits else None
+    hits = ctx.index.search_values(literal, ctx.retrieval, restrict=(table, column))
+    return hits[0].text if hits else None
 
 
 def agent_align(statement: Statement, ctx: AlignmentContext) -> list[str]:
@@ -231,21 +223,19 @@ def agent_align(statement: Statement, ctx: AlignmentContext) -> list[str]:
                 continue
             # The value lives somewhere else: remap the column only when
             # the other table already participates in this FROM clause.
-            for cand_table, cand_column, cand_text, _sim in _candidate_values(
-                ctx, literal.value, None
-            ):
-                prefix = _prefix_for_table(scope, cand_table)
+            for hit in ctx.index.search_values(literal.value, ctx.retrieval):
+                prefix = _prefix_for_table(scope, hit.table)
                 if prefix is None:
                     continue
                 flags.append(
                     f"column_remapped:{table}.{column}->"
-                    f"{cand_table}.{cand_column}:{cand_text!r}"
+                    f"{hit.table}.{hit.column}:{hit.text!r}"
                 )
                 ref.table = prefix
                 ref.table_quote = ""
-                ref.column = cand_column
+                ref.column = hit.column
                 ref.column_quote = ""
-                literal.value = cand_text
+                literal.value = hit.text
                 break
             else:
                 flags.append(f"value_unmatched:{table}.{column}:{literal.value!r}")
@@ -492,7 +482,7 @@ def _conjuncts(expr: Optional[Node]) -> list[Node]:
     return [expr]
 
 
-def _has_null_guard(select: Select, table: TableDef, column: str) -> bool:
+def _has_null_guard(select: Select, column: str) -> bool:
     for conjunct in _conjuncts(select.where):
         if isinstance(conjunct, IsNull) and conjunct.negated:
             inner = conjunct.expr
@@ -518,7 +508,7 @@ def _guard_order_columns(select: Select, catalog: SchemaCatalog) -> list[str]:
         if column is None or column.not_null:
             continue
         key = (table.name.casefold(), column_name.casefold())
-        if key in guarded or _has_null_guard(select, table, column_name):
+        if key in guarded or _has_null_guard(select, column_name):
             continue
         guard = IsNull(expr=copy.deepcopy(term.expr), negated=True)
         if select.where is None:

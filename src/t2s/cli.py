@@ -35,54 +35,39 @@ from .schema import SchemaCatalog, ingest_schema, render_schema
 from .value_index import ValueIndex
 
 
+# (flag, PipelineConfig field, type, help); each flag's dest is its field.
+CONFIG_FLAGS = (
+    ("--k-f", "k_f", int, "number of demonstrations"),
+    ("--n-candidates", "n_candidates", int, "samples per question"),
+    ("--threshold", "threshold", float, "retrieval similarity cutoff"),
+    ("--top-k", "top_k", int, "retrieval result cap"),
+    ("--timeout", "execution_timeout_s", float, "per-query execution deadline in seconds"),
+    ("--timing-repeats", "timing_repeats", int, "executions per timing measurement"),
+    ("--model", "model_name", str, "model name sent to the endpoint"),
+)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("pipeline configuration")
     group.add_argument("--config", help="JSON file of pipeline settings")
-    group.add_argument("--k-f", type=int, default=None, dest="k_f",
-                       help="number of demonstrations")
-    group.add_argument("--n-candidates", type=int, default=None,
-                       help="samples per question")
-    group.add_argument("--threshold", type=float, default=None,
-                       help="retrieval similarity cutoff")
-    group.add_argument("--top-k", type=int, default=None,
-                       help="retrieval result cap")
-    group.add_argument("--timeout", type=float, default=None,
-                       help="per-query execution deadline in seconds")
-    group.add_argument("--timing-repeats", type=int, default=None,
-                       help="executions per timing measurement")
-    group.add_argument("--model", default=None, help="model name sent to the endpoint")
+    for flag, name, kind, help_text in CONFIG_FLAGS:
+        group.add_argument(flag, type=kind, dest=name, help=help_text,
+                           metavar=flag[2:].replace("-", "_").upper())
     for flag in ABLATION_FLAGS:
         group.add_argument(
             f"--{flag.replace('_', '-')}",
-            action="store_true",
+            action="store_const",
+            const=True,
             help=f"disable the {flag[3:].replace('_', ' ')} stage",
         )
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    if args.config:
-        config = PipelineConfig.from_file(args.config)
-    else:
-        config = PipelineConfig()
-    overrides = {}
-    if args.k_f is not None:
-        overrides["k_f"] = args.k_f
-    if args.n_candidates is not None:
-        overrides["n_candidates"] = args.n_candidates
-    if args.threshold is not None:
-        overrides["threshold"] = args.threshold
-    if args.top_k is not None:
-        overrides["top_k"] = args.top_k
-    if args.timeout is not None:
-        overrides["execution_timeout_s"] = args.timeout
-    if args.timing_repeats is not None:
-        overrides["timing_repeats"] = args.timing_repeats
-    if args.model is not None:
-        overrides["model_name"] = args.model
-    for flag in ABLATION_FLAGS:
-        if getattr(args, flag):
-            overrides[flag] = True
-    return config.with_(**overrides)
+    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    names = [name for _flag, name, _kind, _help in CONFIG_FLAGS] + list(ABLATION_FLAGS)
+    return config.with_(
+        **{name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    )
 
 
 def _add_gateway_flags(parser: argparse.ArgumentParser) -> None:

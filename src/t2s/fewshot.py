@@ -227,7 +227,6 @@ def augment_cot(
     config: Optional[LlmConfig] = None,
     schema_text: str = "",
     db_id: str = "",
-    embedder: Optional[Embedder] = None,
     retries: int = 2,
     stage: Optional[str] = None,
 ) -> FewShot:
@@ -235,9 +234,9 @@ def augment_cot(
 
     The gold SQL is kept verbatim no matter what the model writes.  If
     no parseable reasoning block arrives within `retries` attempts the
-    shot is stored degraded (question and SQL only).
+    shot is stored degraded (question and SQL only).  The shot's vector
+    is left unset; `FewShotLibrary.select_fewshots` fills it in.
     """
-    embedder = embedder or TrigramEmbedder()
     config = config or LlmConfig(temperature=0.0)
     prompt = build_augment_prompt(question, sql, schema_text)
     cot: Optional[CoTBody] = None
@@ -251,13 +250,11 @@ def augment_cot(
             break
         except CotParseError:
             continue
-    masked = mask_question(question)
     return FewShot(
         question=question,
         sql=sql,
         cot=cot,
-        masked_question=masked,
-        vector=embedder.embed(masked),
+        masked_question=mask_question(question),
         db_id=db_id,
     )
 
@@ -346,13 +343,6 @@ DEFAULT_CORRECTIONS: dict[str, list[CorrectionShot]] = {
 @dataclass
 class FewShotLibrary:
     shots: list[FewShot] = field(default_factory=list)
-    corrections: dict[str, list[CorrectionShot]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.corrections:
-            self.corrections = {
-                key: list(shots) for key, shots in DEFAULT_CORRECTIONS.items()
-            }
 
     def select_fewshots(
         self,
@@ -382,21 +372,14 @@ class FewShotLibrary:
         return [shot for _neg, _i, shot in scored[:k]]
 
     def correction_shots(self, error_key: str) -> list[CorrectionShot]:
-        shots = self.corrections.get(error_key)
-        if not shots:
-            shots = self.corrections.get("other", [])
-        return list(shots)
+        return list(DEFAULT_CORRECTIONS.get(error_key) or DEFAULT_CORRECTIONS["other"])
 
     # -- persistence ------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        """Write the shots as text; vectors and correction shots are derived."""
         with open(path, "w", encoding="utf-8") as handle:
-            dim = 0
-            for shot in self.shots:
-                if shot.vector is not None:
-                    dim = int(shot.vector.shape[0])
-                    break
-            header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "dim": dim}
+            header = {"format": FORMAT_NAME, "version": FORMAT_VERSION}
             handle.write(json.dumps(header) + "\n")
             for shot in self.shots:
                 record = {
@@ -414,30 +397,21 @@ class FewShotLibrary:
                         "select": shot.cot.select,
                         "sql_like": shot.cot.sql_like,
                     },
-                    "vector": None
-                    if shot.vector is None
-                    else [round(float(x), 9) for x in shot.vector],
                 }
                 handle.write(json.dumps(record) + "\n")
-            for error_key, shots in sorted(self.corrections.items()):
-                for shot in shots:
-                    record = {
-                        "type": "correction",
-                        "error": error_key,
-                        "body": shot.body,
-                    }
-                    handle.write(json.dumps(record) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "FewShotLibrary":
         shots: list[FewShot] = []
-        corrections: dict[str, list[CorrectionShot]] = {}
         with open(path, encoding="utf-8") as handle:
             lines = [line for line in handle if line.strip()]
         if not lines:
             raise IngestError(f"empty few-shot file: {path}")
-        header = json.loads(lines[0])
-        if header.get("format") != FORMAT_NAME:
+        try:
+            header = json.loads(lines[0])
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"bad few-shot header in {path}: {exc}") from exc
+        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
             raise IngestError(f"not a few-shot library file: {path}")
         if header.get("version") != FORMAT_VERSION:
             raise IngestError(f"unsupported few-shot version {header.get('version')!r}")
@@ -447,7 +421,6 @@ class FewShotLibrary:
                 kind = record["type"]
                 if kind == "shot":
                     cot_data = record.get("cot")
-                    vector = record.get("vector")
                     shots.append(
                         FewShot(
                             question=record["question"],
@@ -463,17 +436,10 @@ class FewShotLibrary:
                                 select=cot_data.get("select", ""),
                                 sql_like=cot_data.get("sql_like", ""),
                             ),
-                            vector=None
-                            if vector is None
-                            else np.asarray(vector, dtype=np.float64),
                         )
                     )
-                elif kind == "correction":
-                    corrections.setdefault(record["error"], []).append(
-                        CorrectionShot(error_key=record["error"], body=record["body"])
-                    )
-                else:
+                elif kind != "correction":  # older files repeat DEFAULT_CORRECTIONS
                     raise IngestError(f"unknown record type {kind!r}")
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise IngestError(f"bad few-shot record at line {lineno}: {exc}") from exc
-        return cls(shots=shots, corrections=corrections)
+        return cls(shots=shots)

@@ -373,12 +373,10 @@ def build_fewshot_library(
     gateway: Gateway,
     schema_text: str = "",
     db_id: str = "",
-    embedder: Optional[Embedder] = None,
     llm: Optional[LlmConfig] = None,
     out_path: Optional[str | Path] = None,
 ) -> FewShotLibrary:
     """Augment (question, gold SQL) pairs into a demonstration library."""
-    embedder = embedder or TrigramEmbedder()
     shots = []
     for index, (question, sql) in enumerate(pairs):
         shots.append(
@@ -389,7 +387,6 @@ def build_fewshot_library(
                 config=llm,
                 schema_text=schema_text,
                 db_id=db_id,
-                embedder=embedder,
                 stage=f"augment:{index}",
             )
         )

@@ -18,7 +18,7 @@ words used as plain names (a table literally called "table") still parse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .errors import SqlSyntaxError
@@ -143,8 +143,8 @@ class Node:
     """Base class; children are discovered through dataclass fields."""
 
     def children(self) -> Iterator["Node"]:
-        for f in fields(self):  # type: ignore[arg-type]
-            value = getattr(self, f.name)
+        # A slot-free dataclass's vars() are its fields in declaration order.
+        for value in vars(self).values():
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, (list, tuple)):

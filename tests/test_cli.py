@@ -1,9 +1,10 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from t2s import FewShotLibrary
-from t2s.cli import ABLATION_FLAGS, main
+from t2s import FewShotLibrary, PipelineConfig
+from t2s.cli import ABLATION_FLAGS, _build_config, build_parser, main
 
 
 def write_cli_transcript(e2e, path):
@@ -222,3 +223,78 @@ def test_bad_config_file_exits_1(e2e, tmp_path, capsys):
     )
     assert code == 1
     assert "mystery_knob" in capsys.readouterr().err
+
+
+FLAG_CASES = [
+    # flag, value on the command line, PipelineConfig field, parsed value
+    ("--k-f", "5", "k_f", 5),
+    ("--n-candidates", "7", "n_candidates", 7),
+    ("--threshold", "0.25", "threshold", 0.25),
+    ("--top-k", "9", "top_k", 9),
+    ("--timeout", "1.5", "execution_timeout_s", 1.5),
+    ("--timing-repeats", "2", "timing_repeats", 2),
+    ("--model", "some-model", "model_name", "some-model"),
+]
+
+CONFIG_FLAG_HELP = {
+    # flag: (type, metavar shown in --help, help text)
+    "--k-f": (int, "K_F", "number of demonstrations"),
+    "--n-candidates": (int, "N_CANDIDATES", "samples per question"),
+    "--threshold": (float, "THRESHOLD", "retrieval similarity cutoff"),
+    "--top-k": (int, "TOP_K", "retrieval result cap"),
+    "--timeout": (float, "TIMEOUT", "per-query execution deadline in seconds"),
+    "--timing-repeats": (int, "TIMING_REPEATS", "executions per timing measurement"),
+    "--model": (str, "MODEL", "model name sent to the endpoint"),
+}
+
+
+def _run_args(*extra):
+    return build_parser().parse_args(["run", "--db", "x.sqlite", "--question", "Q?", *extra])
+
+
+@pytest.mark.parametrize("flag,text,name,value", FLAG_CASES)
+def test_config_flag_sets_its_field(flag, text, name, value):
+    config = _build_config(_run_args(flag, text))
+    assert getattr(config, name) == value
+    untouched = PipelineConfig()
+    for other in fields(PipelineConfig):
+        if other.name != name:
+            assert getattr(config, other.name) == getattr(untouched, other.name)
+
+
+def test_ablation_flags_set_their_fields():
+    for flag in ABLATION_FLAGS:
+        config = _build_config(_run_args(f"--{flag.replace('_', '-')}"))
+        assert getattr(config, flag) is True
+        assert sum(getattr(config, other) for other in ABLATION_FLAGS) == 1
+
+
+def test_config_file_values_survive_absent_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    from_file = {name: value for _flag, _text, name, value in FLAG_CASES}
+    from_file["no_fewshot"] = True
+    cfg.write_text(json.dumps(from_file))
+    config = _build_config(_run_args("--config", str(cfg)))
+    for name, value in from_file.items():
+        assert getattr(config, name) == value
+    # a flag given on the command line still wins over the file
+    config = _build_config(_run_args("--config", str(cfg), "--k-f", "1", "--no-vote"))
+    assert config.k_f == 1 and config.no_vote and config.no_fewshot
+    assert config.n_candidates == 7
+
+
+def test_config_flag_help_unchanged():
+    parser = build_parser()
+    run = next(
+        action for action in parser._actions if action.dest == "command"
+    ).choices["run"]
+    shown = {
+        action.option_strings[0]: (
+            action.type or str,  # argparse keeps the text as it is
+            action.metavar or action.dest.upper(),
+            action.help,
+        )
+        for action in run._actions
+        if action.option_strings and action.option_strings[0] in CONFIG_FLAG_HELP
+    }
+    assert shown == CONFIG_FLAG_HELP

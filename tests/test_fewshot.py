@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,7 +152,7 @@ def test_augment_builds_full_shot():
     assert shot.cot.reason == "count matching rows"
     assert shot.db_id == "clinical"
     assert shot.masked_question == "How many female patients are there?"
-    assert shot.vector is not None and shot.vector.shape == (512,)
+    assert shot.vector is None
 
 
 def test_augment_keeps_gold_sql_verbatim():
@@ -285,17 +287,77 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "lib.jsonl"
     lib.save(path)
 
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert records[0] == {"format": "t2s-fewshot", "version": 1}
+    assert all(r["type"] == "shot" and "vector" not in r for r in records[1:])
+
     loaded = FewShotLibrary.load(path)
     assert [s.question for s in loaded.shots] == [s.question for s in lib.shots]
     assert loaded.shots[0].cot.reason == "r"
     assert loaded.shots[1].cot is None
-    assert np.allclose(loaded.shots[0].vector, lib.shots[0].vector, atol=1e-8)
     assert loaded.correction_shots("syntax")
 
     # selection behaves the same after the round trip
     a = [s.sql for s in lib.select_fewshots("How many male patients are there?", k=2)]
     b = [s.sql for s in loaded.select_fewshots("How many male patients are there?", k=2)]
     assert a == b
+    for built, read in zip(lib.shots, loaded.shots):
+        assert np.array_equal(read.vector, built.vector)
+
+
+def _write_vector_format(library, path):
+    """A library file as writers before the text-only format made it:
+    a header `dim`, a rounded vector per shot and every correction shot."""
+    lines = [{"format": "t2s-fewshot", "version": 1, "dim": 512}]
+    for shot in library.shots:
+        lines.append({
+            "type": "shot",
+            "question": shot.question,
+            "sql": shot.sql,
+            "masked_question": shot.masked_question,
+            "db_id": shot.db_id,
+            "cot": None if shot.cot is None else vars(shot.cot),
+            "vector": [round(float(x), 9) for x in shot.vector],
+        })
+    for key, shots in sorted(DEFAULT_CORRECTIONS.items()):
+        lines.extend({"type": "correction", "error": key, "body": c.body} for c in shots)
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+
+def test_load_reads_vector_format(tmp_path):
+    built = make_library()
+    built.shots[0].cot = CoTBody(reason="r", columns="c", values="v", select="s", sql_like="q")
+    built.select_fewshots("warm the vectors", k=1)
+    path = tmp_path / "old.jsonl"
+    _write_vector_format(built, path)
+
+    loaded = FewShotLibrary.load(path)
+    assert all(s.vector is None for s in loaded.shots)
+    assert loaded.shots[0].cot == built.shots[0].cot
+    for key in list(DEFAULT_CORRECTIONS) + ["never_heard_of_it"]:
+        expected = DEFAULT_CORRECTIONS.get(key, DEFAULT_CORRECTIONS["other"])
+        assert loaded.correction_shots(key) == expected
+    for question in ("How many male patients are there?", "List the clubs in 'Oslo'."):
+        assert [s.sql for s in loaded.select_fewshots(question, k=3)] == [
+            s.sql for s in built.select_fewshots(question, k=3)
+        ]
+    for built_shot, read in zip(built.shots, loaded.shots):
+        assert np.array_equal(read.vector, built_shot.vector)
+
+
+@pytest.mark.parametrize("header", ['{"format": "t2s-few', "[1, 2]", "null"])
+def test_load_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(header + "\n")
+    with pytest.raises(IngestError):
+        FewShotLibrary.load(path)
+
+
+def test_load_rejects_unknown_record_type(tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_text('{"format": "t2s-fewshot", "version": 1}\n{"type": "mystery"}\n')
+    with pytest.raises(IngestError):
+        FewShotLibrary.load(path)
 
 
 def test_load_rejects_wrong_header(tmp_path):

@@ -217,3 +217,34 @@ def test_build_fewshot_library_augments_and_saves(tmp_path):
         "How many patients?",
         "How many labs?",
     ]
+
+
+def test_built_library_file_holds_text_only(tmp_path):
+    reply = (
+        "#reason: count rows\n#columns: Patient.SEX\n#values: Patient.SEX = 'F'\n"
+        "#SQL-like: Show COUNT(*) WHERE SEX = 'F'\n"
+        "#SQL: SELECT COUNT(*) FROM Patient WHERE SEX = 'F'"
+    )
+    pairs = [
+        ("How many female patients are there?", "SELECT COUNT(*) FROM Patient WHERE SEX = 'F'"),
+        ("How many labs were taken in 1997?", "SELECT COUNT(*) FROM Laboratory WHERE Date LIKE '1997%'"),
+        ("List the IDs of male patients.", "SELECT ID FROM Patient WHERE SEX = 'M'"),
+    ]
+    gw = ScriptedGateway({"augment:0": reply})
+    out = tmp_path / "lib.jsonl"
+    built = build_fewshot_library(pairs, gw, db_id="clinical", out_path=out)
+    assert all(shot.vector is None for shot in built.shots)
+
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert records[0] == {"format": "t2s-fewshot", "version": 1}
+    assert [r["type"] for r in records[1:]] == ["shot"] * 3
+    assert not any("vector" in r or "dim" in r for r in records)
+
+    loaded = FewShotLibrary.load(out)
+    for question in ("How many male patients are there?", "List the labs from 2001."):
+        picked = built.select_fewshots(question, k=2)
+        again = loaded.select_fewshots(question, k=2)
+        assert [s.question for s in again] == [s.question for s in picked]
+    for a, b in zip(built.shots, loaded.shots):
+        assert a.vector.dtype == b.vector.dtype
+        assert a.vector.tobytes() == b.vector.tobytes()

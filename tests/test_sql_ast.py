@@ -1,3 +1,6 @@
+import copy
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from t2s.sql_ast import (
     contains_aggregate,
     is_aggregate_call,
     tokenize,
+    Node,
     walk,
 )
 
@@ -154,6 +158,42 @@ def test_walk_reaches_subqueries():
     stmt = parse_select("SELECT ID FROM Patient WHERE ID IN (SELECT ID FROM Laboratory WHERE IGA > 9)")
     names = {n.column for n in walk(stmt) if isinstance(n, ColumnRef)}
     assert names == {"ID", "IGA"}
+
+
+def _children_by_fields(node):
+    """Reference order: every dataclass field in declaration order."""
+    out = []
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, Node):
+            out.append(value)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                if isinstance(item, Node):
+                    out.append(item)
+                elif isinstance(item, tuple):
+                    out.extend(sub for sub in item if isinstance(sub, Node))
+    return out
+
+
+def test_children_follow_field_order():
+    stmt = parse_select(
+        "WITH recent AS (SELECT ID, Date FROM Laboratory WHERE Date > '2000-01-01') "
+        "SELECT p.ID, CASE WHEN p.SEX = 'F' THEN 1 WHEN p.SEX = 'M' THEN 2 ELSE 0 END "
+        "FROM Patient AS p INNER JOIN recent AS r ON p.ID = r.ID "
+        "WHERE p.ID IN (SELECT ID FROM Examination WHERE Thrombosis = 1) "
+        "ORDER BY r.Date DESC LIMIT 5 OFFSET 10"
+    )
+    nodes = list(walk(stmt)) + list(walk(copy.deepcopy(stmt)))
+    kinds = {type(n).__name__ for n in nodes}
+    assert {"Cte", "Join", "Case", "InExpr", "Subquery", "OrderTerm"} <= kinds
+    assert stmt.limit is not None and stmt.offset is not None
+    for node in nodes:
+        assert list(vars(node)) == [f.name for f in fields(node)]
+        children = list(node.children())
+        reference = _children_by_fields(node)
+        assert len(children) == len(reference)
+        assert all(a is b for a, b in zip(children, reference))
 
 
 def test_column_refs_in_order():
