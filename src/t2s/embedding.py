@@ -9,13 +9,14 @@ together, which is exactly what retrieval over messy stored values needs.
 
 Any object with a ``dim`` attribute and an ``embed(text) -> np.ndarray``
 method can stand in for the default, e.g. a client for a hosted embedding
-model.
+model.  `SparseRows` stores such vectors for value search and few-shot
+selection.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -78,3 +79,57 @@ class TrigramEmbedder:
         if len(padded) < 3:
             return [padded]
         return [padded[i : i + 3] for i in range(len(padded) - 2)]
+
+
+class SparseRows:
+    """Row vectors stored by dimension: for each dimension, the rows with a
+    non-zero value there, in row order, and those values.
+    """
+
+    # Vectors are gathered this many at a time, so that building never
+    # holds more than one block of them densely.
+    _BLOCK = 256
+
+    def __init__(self, vectors: Iterable[np.ndarray], dim: int):
+        block = np.empty((self._BLOCK, dim))
+        parts = []
+        self.n = 0
+        for vector in vectors:
+            block[self.n % self._BLOCK] = vector
+            self.n += 1
+            if self.n % self._BLOCK == 0:
+                parts.append(self._nonzeros(block, self.n - self._BLOCK))
+        tail = self.n % self._BLOCK
+        parts.append(self._nonzeros(block[:tail], self.n - tail))
+        rows, dims, values = (np.concatenate(arrays) for arrays in zip(*parts))
+        # The smallest integer type makes the stable sort a radix sort.
+        by_dim = np.argsort(dims.astype(np.min_scalar_type(dim)), kind="stable")
+        self.rows, self.values = rows[by_dim], values[by_dim]
+        # Dimension d's rows and values are at [starts[d], starts[d + 1]).
+        self.starts = np.concatenate(([0], np.cumsum(np.bincount(dims, minlength=dim))))
+
+    @staticmethod
+    def _nonzeros(block: np.ndarray, first_row: int):
+        """Rows, dimensions and values of a block's non-zeros, row by row."""
+        at = np.flatnonzero(block != 0)
+        rows, dims = np.divmod(at, block.shape[1])
+        return (rows + first_row).astype(np.int32), dims, block.ravel()[at]
+
+    def max_scores(self, probes: np.ndarray) -> np.ndarray:
+        """Each row's highest dot product with any probe (a row of `probes`).
+
+        Only the rows that share a non-zero dimension with a probe are
+        read; the rest score exactly 0.0 against it.  Each dot product is
+        summed over dimensions in ascending order, so it equals, to the
+        bit, the sum a plain loop over the dense vectors gives.
+        """
+        which, dims = np.nonzero(probes != 0)
+        starts = self.starts[dims]
+        lengths = self.starts[dims + 1] - starts
+        ends = np.cumsum(lengths)
+        # Every stored value of every (probe, dimension) pair, in that order.
+        at = np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
+        bins = self.rows[at] + np.repeat(which * self.n, lengths)
+        weights = self.values[at] * np.repeat(probes[which, dims], lengths)
+        scores = np.bincount(bins, weights, minlength=len(probes) * self.n)
+        return scores.reshape(len(probes), self.n).max(axis=0)

@@ -19,6 +19,7 @@ generation and refinement agree on the wire format.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .embedding import Embedder, TrigramEmbedder, cosine
+from .embedding import Embedder, SparseRows, TrigramEmbedder
 from .errors import CotParseError, GatewayError, IngestError
 from .gateway import Gateway, LlmConfig
 
@@ -343,6 +344,11 @@ DEFAULT_CORRECTIONS: dict[str, list[CorrectionShot]] = {
 @dataclass
 class FewShotLibrary:
     shots: list[FewShot] = field(default_factory=list)
+    # The pool vectors last scored and their store, reused while the pool
+    # holds the same vector objects.
+    _pool_store: Optional[tuple[list[np.ndarray], SparseRows]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def select_fewshots(
         self,
@@ -357,19 +363,24 @@ class FewShotLibrary:
         embedder = embedder or TrigramEmbedder()
         query = embedder.embed(mask_question(question))
         pool = [
-            (i, shot)
-            for i, shot in enumerate(self.shots)
+            shot
+            for shot in self.shots
             if restrict_db is None or shot.db_id == restrict_db
         ]
-        scored = []
-        for i, shot in pool:
-            vector = shot.vector
-            if vector is None:
-                vector = embedder.embed(mask_question(shot.question))
-                shot.vector = vector
-            scored.append((-cosine(query, vector), i, shot))
-        scored.sort(key=lambda item: (item[0], item[1]))
-        return [shot for _neg, _i, shot in scored[:k]]
+        for shot in pool:
+            if shot.vector is None:
+                shot.vector = embedder.embed(mask_question(shot.question))
+        vectors = [shot.vector for shot in pool]
+        cached = self._pool_store
+        if (
+            cached is None
+            or len(cached[0]) != len(vectors)
+            or any(map(operator.is_not, cached[0], vectors))
+        ):
+            cached = self._pool_store = (vectors, SparseRows(vectors, len(query)))
+        scores = cached[1].max_scores(query[np.newaxis])
+        # Ties keep library order, which pool positions follow.
+        return [pool[j] for j in np.lexsort((np.arange(len(pool)), -scores))[:k]]
 
     def correction_shots(self, error_key: str) -> list[CorrectionShot]:
         return list(DEFAULT_CORRECTIONS.get(error_key) or DEFAULT_CORRECTIONS["other"])

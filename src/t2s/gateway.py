@@ -35,6 +35,10 @@ from .errors import GatewayError
 ENDPOINT_ENV = "T2S_LLM_ENDPOINT"
 API_KEY_ENV = "T2S_LLM_KEY"
 
+# A numeric Retry-After on a 429 or 503 replaces the backoff delay, but a
+# server never makes a retry wait longer than this many seconds.
+MAX_RETRY_AFTER_S = 30.0
+
 
 @dataclass(frozen=True)
 class LlmConfig:
@@ -161,8 +165,9 @@ class HttpGateway:
 
     Endpoint and key default to the T2S_LLM_ENDPOINT / T2S_LLM_KEY
     environment variables.  Connection errors and the statuses 429, 500,
-    502, 503 and 504 are retried with exponential backoff; any other
-    error status fails at once.  Sampling falls back to sequential single
+    502, 503 and 504 are retried with exponential backoff, or after the
+    reply's Retry-After seconds on 429 and 503; any other error status
+    fails at once.  Sampling falls back to sequential single
     completions when the server returns fewer choices than asked.
     """
 
@@ -222,10 +227,16 @@ class HttpGateway:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Optional[Exception] = None
+        retry_after: Optional[float] = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 delay = self.backoff * (2 ** (attempt - 1))
-                time.sleep(delay + self._rng.uniform(0, delay / 4))
+                time.sleep(
+                    delay + self._rng.uniform(0, delay / 4)
+                    if retry_after is None
+                    else retry_after
+                )
+            retry_after = None
             try:
                 with self._limiter:
                     response = self._session.post(
@@ -238,6 +249,7 @@ class HttpGateway:
                     last_error = GatewayError(
                         f"server returned {response.status_code}"
                     )
+                    retry_after = _retry_after(response)
                     continue
                 if response.status_code >= 400:
                     raise GatewayError(f"server returned {response.status_code}")
@@ -258,3 +270,20 @@ class HttpGateway:
             except (requests.RequestException, ValueError) as exc:
                 last_error = exc
         raise GatewayError(f"request failed after retries: {last_error}")
+
+
+def _retry_after(response) -> Optional[float]:
+    """The capped Retry-After seconds of a 429 or 503 reply, else None.
+
+    Only a number of seconds is read; an HTTP date or any other value is
+    ignored, and the retry falls back to the backoff delay.
+    """
+    if response.status_code not in (429, 503):
+        return None
+    try:
+        seconds = float(response.headers.get("Retry-After", ""))
+    except ValueError:
+        return None
+    if not seconds >= 0:  # negative or NaN
+        return None
+    return min(seconds, MAX_RETRY_AFTER_S)

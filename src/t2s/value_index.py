@@ -6,9 +6,13 @@ and every column name once, then answers similarity queries by probing
 with word n-grams of the query so multi-word questions still surface
 single stored tokens.
 
-All scoring is exact cosine over the full matrix.  No approximate
-structure is involved, so results are reproducible and easy to check
-against a brute-force scan.
+Embeddings are mostly zeros, so the index keeps only their non-zero
+values, grouped by dimension.  A search reads just the rows that share a
+non-zero dimension with a probe; every other row scores exactly 0.0.
+Scoring stays exact: each score is the dot product summed over the
+dimensions in ascending order, as a plain loop over the dense vectors
+sums it.  No approximate structure is involved, so results are
+reproducible and easy to check against a brute-force scan.
 
 The saved file holds the stored text only.  Vectors are a pure function
 of that text, so `load` re-embeds it through the same constructor that
@@ -18,15 +22,14 @@ of that text, so `load` re-embeds it through the same constructor that
 from __future__ import annotations
 
 import json
-import mmap
 import sqlite3
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .embedding import EMBEDDING_DIM, Embedder, TrigramEmbedder
+from .embedding import EMBEDDING_DIM, Embedder, SparseRows, TrigramEmbedder
 from .errors import EmbeddingError, IndexBuildError
 from .schema import ColumnSelection, SchemaCatalog, quote_identifier
 
@@ -53,7 +56,12 @@ class IndexedEntry:
     text: str
     table: str
     column: str
-    vector: np.ndarray
+    embedder: Embedder = field(repr=False, compare=False)
+
+    @property
+    def vector(self) -> np.ndarray:
+        """The entry's embedding, derived from its text on each read."""
+        return self.embedder.embed(self.text[:MAX_EMBED_CHARS])
 
 
 @dataclass
@@ -91,19 +99,9 @@ def _word_ngrams(query: str, max_n: int = 3) -> list[str]:
     return probes
 
 
-def _mapped_matrix(rows: int, dim: int) -> np.ndarray:
-    """An uninitialised float64 (rows, dim) matrix in its own memory mapping.
-
-    The cell matrix is the one large buffer of an index (31 MB at 8k cells).
-    In its own mapping it goes back to the OS when the index is dropped.  In
-    the malloc heap it would leave a hole there that later small allocations
-    split, so that the next index of the same size no longer fits and each
-    reload can grow the process by a whole matrix.
-    """
-    nbytes = rows * dim * np.dtype(np.float64).itemsize
-    if nbytes == 0:
-        return np.empty((rows, dim), dtype=np.float64)
-    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.float64).reshape(rows, dim)
+def _ranked(scores: np.ndarray, kept: np.ndarray, top_k: int) -> np.ndarray:
+    """The kept rows by descending score, ties in row order, cut to top_k."""
+    return kept[np.lexsort((kept, -scores[kept]))][: max(top_k, 0)]
 
 
 class ValueIndex:
@@ -118,39 +116,33 @@ class ValueIndex:
         self.embedder = embedder or TrigramEmbedder()
         self.dim = self.embedder.dim
         records = list(records)
-        self._cells, self._cell_matrix = self._embed(
-            [r for r in records if r[0] == "cell_value"]
-        )
-        self._columns, self._col_matrix = self._embed(
-            [r for r in records if r[0] == "column_name"]
-        )
-        # Columns also match their qualified "table.column" spelling.
-        self._qualified_matrix = self._stack(
-            [self.embedder.embed(f"{e.table}.{e.column}") for e in self._columns]
-        )
+        self._cells: list[IndexedEntry] = []
+        self._cell_store = SparseRows(self._embedded(records, "cell_value", self._cells), self.dim)
+        self._columns: list[IndexedEntry] = []
+        bare = list(self._embedded(records, "column_name", self._columns))
+        # Columns also match their qualified "table.column" spelling: row
+        # len(columns) + i of the column store is column i's.
+        qualified = [self.embedder.embed(f"{e.table}.{e.column}") for e in self._columns]
+        self._column_store = SparseRows(bare + qualified, self.dim)
         self.entries = self._cells + self._columns
-        self._by_column: dict[tuple[str, str], list[str]] = {}
-        for entry in self._cells:
+        # Cell rows of each column, in row order.
+        self._by_column: dict[tuple[str, str], list[int]] = {}
+        for row, entry in enumerate(self._cells):
             key = (entry.table.casefold(), entry.column.casefold())
-            self._by_column.setdefault(key, []).append(entry.text)
+            self._by_column.setdefault(key, []).append(row)
 
-    def _embed(self, records: list[Record]) -> tuple[list[IndexedEntry], np.ndarray]:
-        """Entries and their matrix; each entry's vector is a row of it."""
-        matrix = _mapped_matrix(len(records), self.dim)
-        entries: list[IndexedEntry] = []
-        for kind, text, table, column in records:
-            row = len(entries)
+    def _embedded(self, records: list[Record], kind: str, entries: list[IndexedEntry]):
+        """Vectors of the records of this kind, each yielded after its entry
+        is added to `entries`; a record whose text does not embed is left out."""
+        for record_kind, text, table, column in records:
+            if record_kind != kind:
+                continue
             try:
-                matrix[row] = self.embedder.embed(text[:MAX_EMBED_CHARS])
+                vector = self.embedder.embed(text[:MAX_EMBED_CHARS])
             except EmbeddingError:
                 continue
-            entries.append(IndexedEntry(kind, text, table, column, matrix[row]))
-        return entries, matrix[: len(entries)]
-
-    def _stack(self, vectors: list[np.ndarray]) -> np.ndarray:
-        if not vectors:
-            return np.zeros((0, self.dim), dtype=np.float64)
-        return np.stack(vectors)
+            entries.append(IndexedEntry(kind, text, table, column, self.embedder))
+            yield vector
 
     # -- construction -----------------------------------------------------
 
@@ -194,14 +186,14 @@ class ValueIndex:
 
     # -- queries ----------------------------------------------------------
 
-    def _probe_vectors(self, query: str) -> np.ndarray:
+    def _probe_vectors(self, query: str) -> list[np.ndarray]:
         vectors = []
         for probe in _word_ngrams(query):
             try:
                 vectors.append(self.embedder.embed(probe))
             except EmbeddingError:
                 continue
-        return self._stack(vectors)
+        return vectors
 
     def search_values(
         self,
@@ -217,29 +209,19 @@ class ValueIndex:
         """
         config = config or RetrievalConfig()
         probes = self._probe_vectors(query)
-        if probes.shape[0] == 0 or self._cell_matrix.shape[0] == 0:
+        if not probes or not self._cells:
             return []
-        scores = (self._cell_matrix @ probes.T).max(axis=1)
-        order = sorted(range(len(self._cells)), key=lambda i: (-scores[i], i))
-        hits: list[ValueHit] = []
-        for i in order:
-            if scores[i] < config.threshold:
-                break
-            entry = self._cells[i]
-            if restrict is not None:
-                if (
-                    entry.table.casefold() != restrict[0].casefold()
-                    or entry.column.casefold() != restrict[1].casefold()
-                ):
-                    continue
-            # The hit gets its own copy of the vector: the entry's is a row
-            # of the index's matrix, and a hit kept in a result would
-            # otherwise keep that whole matrix alive after the index is gone.
-            detached = replace(entry, vector=entry.vector.copy())
-            hits.append(ValueHit(entry=detached, similarity=float(scores[i])))
-            if len(hits) >= config.top_k:
-                break
-        return hits
+        scores = self._cell_store.max_scores(np.stack(probes))
+        if restrict is None:
+            kept = np.flatnonzero(scores >= config.threshold)
+        else:
+            key = (restrict[0].casefold(), restrict[1].casefold())
+            rows = np.array(self._by_column.get(key, []), dtype=np.intp)
+            kept = rows[scores[rows] >= config.threshold]
+        return [
+            ValueHit(entry=self._cells[i], similarity=float(scores[i]))
+            for i in _ranked(scores, kept, config.top_k)
+        ]
 
     def search_columns(
         self,
@@ -250,26 +232,24 @@ class ValueIndex:
         """Columns whose bare or qualified name resembles the query."""
         config = config or RetrievalConfig()
         probes = self._probe_vectors(query)
-        if probes.shape[0] == 0 or self._col_matrix.shape[0] == 0:
+        if not probes or not self._columns:
             return ColumnSelection(frozenset())
-        bare = (self._col_matrix @ probes.T).max(axis=1)
-        qualified = (self._qualified_matrix @ probes.T).max(axis=1)
-        scores = np.maximum(bare, qualified)
-        order = sorted(range(len(self._columns)), key=lambda i: (-scores[i], i))
-        pairs = []
-        for i in order:
-            if scores[i] < config.threshold or len(pairs) >= config.top_k:
-                break
-            entry = self._columns[i]
-            pairs.append((entry.table, entry.column))
+        # Each column scores by the better of its bare and qualified rows.
+        scores = self._column_store.max_scores(np.stack(probes)).reshape(2, -1).max(axis=0)
+        kept = np.flatnonzero(scores >= config.threshold)
+        pairs = [
+            (self._columns[i].table, self._columns[i].column)
+            for i in _ranked(scores, kept, config.top_k)
+        ]
         return ColumnSelection.of(catalog, pairs)
 
     def stored_values(self, table: str, column: str) -> tuple[str, ...]:
-        return tuple(self._by_column.get((table.casefold(), column.casefold()), ()))
+        rows = self._by_column.get((table.casefold(), column.casefold()), ())
+        return tuple(self._cells[i].text for i in rows)
 
     def has_value(self, table: str, column: str, text: str) -> bool:
         """Exact, case-sensitive membership test for a stored cell."""
-        return text in self._by_column.get((table.casefold(), column.casefold()), ())
+        return text in self.stored_values(table, column)
 
     def cell_count(self) -> int:
         return len(self._cells)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t2s import EMBEDDING_DIM, EmbeddingError, TrigramEmbedder, cosine, unit_normalize
+from t2s.embedding import SparseRows
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +102,24 @@ def test_cosine_symmetric_and_bounded(a, b):
 def test_case_insensitive(text):
     e = TrigramEmbedder()
     assert cosine(e.embed(text), e.embed(text.upper())) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+def test_sparse_rows_scores_as_dense_loop(n):
+    # Row counts on both sides of the build's block size.
+    rng = np.random.default_rng(n)
+    dense = rng.normal(size=(n, 40)) * (rng.random((n, 40)) < 0.1)
+    probes = rng.normal(size=(3, 40)) * (rng.random((3, 40)) < 0.3)
+    probes[2] = 0.0  # a probe that reaches no row
+    store = SparseRows(iter(dense), 40)
+    want = []
+    for row in dense.tolist():
+        sums = []
+        for probe in probes.tolist():
+            total = 0.0
+            for p, v in zip(probe, row):
+                total += p * v
+            sums.append(total)
+        want.append(max(sums))
+    assert store.n == n
+    assert store.max_scores(probes).tolist() == want

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from t2s import (
     TrigramEmbedder,
     augment_cot,
     build_augment_prompt,
+    cosine,
     mask_question,
     render_fewshot,
     render_fewshots,
@@ -248,6 +250,72 @@ def test_select_fewshots_ties_break_by_insertion_order():
     )
     got = lib.select_fewshots("Same shape 9?", k=2)
     assert [s.sql for s in got] == ["SELECT 1", "SELECT 2"]
+
+
+class _QuarterCountEmbedder:
+    """Word counts times 0.25 hashed into 16 dimensions.
+
+    Every dot product of these vectors is a small multiple of 1/16, so it
+    is exact in any summation order: a tie is a tie in every kernel.
+    """
+
+    dim = 16
+
+    def embed(self, text):
+        vector = np.zeros(self.dim)
+        for word in text.split():
+            vector[sum(map(ord, word)) % self.dim] += 0.25
+        return vector
+
+
+def _old_selection(shots, question, k, embedder, restrict_db=None):
+    """The per-shot loop selection used to run: (-cosine, index) order."""
+    query = embedder.embed(mask_question(question))
+    scored = [
+        (-cosine(query, embedder.embed(mask_question(shot.question))), i, shot)
+        for i, shot in enumerate(shots)
+        if restrict_db is None or shot.db_id == restrict_db
+    ]
+    scored.sort(key=lambda item: (item[0], item[1]))
+    return [shot for _neg, _i, shot in scored[:k]]
+
+
+def test_select_fewshots_matches_per_shot_loop():
+    rng = random.Random(5)
+    words = ["how", "many", "list", "cities", "orders", "total", "in", "year", "name"]
+    questions = [" ".join(rng.choices(words, k=rng.randint(2, 6))) for _ in range(120)]
+    # Every question appears two or three times, so exact ties are common.
+    questions += rng.choices(questions, k=200)
+    shots = [
+        FewShot(question=q, sql=f"SELECT {i}", db_id=rng.choice(["a", "b", "c"]))
+        for i, q in enumerate(questions)
+    ]
+    lib = FewShotLibrary(shots=shots)
+    embedder = _QuarterCountEmbedder()
+    for restrict_db in (None, "b"):
+        for question in ("how many cities", "list orders in year", questions[7], "zzz"):
+            for k in (1, 3, 10, 50, 400):
+                got = lib.select_fewshots(question, k, embedder, restrict_db=restrict_db)
+                want = _old_selection(shots, question, k, embedder, restrict_db)
+                assert [id(s) for s in got] == [id(s) for s in want]
+
+
+def test_select_fewshots_fills_only_the_pool():
+    lib = make_library()
+    lib.select_fewshots("How many male patients are there?", k=1, restrict_db="clinical")
+    assert [s.vector is not None for s in lib.shots] == [True, False, True]
+    assert lib.select_fewshots("anything", k=2, restrict_db="nowhere") == []
+
+
+def test_select_fewshots_follows_replaced_and_added_shots():
+    lib = make_library()
+    question = "List the clubs in 'Davis'."
+    assert lib.select_fewshots(question, k=1)[0] is lib.shots[1]
+    # A shot whose vector is replaced is scored by its new vector.
+    lib.shots[0].vector = TrigramEmbedder().embed(mask_question(question))
+    assert lib.select_fewshots(question, k=1)[0] is lib.shots[0]
+    lib.shots.insert(0, FewShot(question=question, sql="SELECT 0", db_id="clubs"))
+    assert lib.select_fewshots(question, k=1)[0] is lib.shots[0]
 
 
 # -- correction shots -----------------------------------------------------

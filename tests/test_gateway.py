@@ -12,6 +12,7 @@ from t2s import (
     normalize_prompt,
     prompt_key,
 )
+from t2s.gateway import MAX_RETRY_AFTER_S
 
 CFG = LlmConfig()
 
@@ -128,9 +129,10 @@ def test_missing_transcript_file(tmp_path):
 
 
 class FakeResponse:
-    def __init__(self, status_code, texts=()):
+    def __init__(self, status_code, texts=(), headers=None):
         self.status_code = status_code
         self._texts = texts
+        self.headers = headers or {}
 
     def json(self):
         return {"choices": [{"message": {"content": t}} for t in self._texts]}
@@ -177,3 +179,32 @@ def test_http_short_reply_tops_up_one_at_a_time():
     got = http_gateway(session).complete("p", CFG.with_(n_samples=3))
     assert got.texts == ("a", "b", "c")
     assert [payload["n"] for payload in session.posted] == [3, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, slept",
+    [
+        (429, "2", 2.0),
+        (503, "0.25", 0.25),
+        (503, "3600", MAX_RETRY_AFTER_S),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", None),
+        (429, "soon", None),
+        (503, "-1", None),
+        (503, "nan", None),
+        (502, "2", None),  # only 429 and 503 carry a Retry-After worth reading
+    ],
+)
+def test_http_retry_after(monkeypatch, status, retry_after, slept):
+    sleeps = []
+    monkeypatch.setattr("t2s.gateway.time.sleep", sleeps.append)
+    session = FakeSession(
+        FakeResponse(status, headers={"Retry-After": retry_after}),
+        FakeResponse(200, ["SELECT 1"]),
+    )
+    gateway = HttpGateway(endpoint="http://model.test/v1", session=session, backoff=0.5)
+    assert gateway.complete("p", CFG).texts == ("SELECT 1",)
+    assert len(sleeps) == 1
+    if slept is None:
+        assert 0.5 <= sleeps[0] <= 0.625  # the first backoff delay plus its jitter
+    else:
+        assert sleeps[0] == slept

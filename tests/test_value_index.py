@@ -1,13 +1,25 @@
 import gc
 import json
+import random
+import sqlite3
 import weakref
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t2s import IndexBuildError, RetrievalConfig, TrigramEmbedder, ValueIndex, cosine
+from t2s import (
+    EmbeddingError,
+    IndexBuildError,
+    RetrievalConfig,
+    TrigramEmbedder,
+    ValueIndex,
+    cosine,
+    ingest_schema,
+)
+from t2s.schema import ColumnSelection
 from t2s.value_index import _word_ngrams
 
 
@@ -98,10 +110,10 @@ def test_stored_values_and_has_value(clinical_index):
 
 def test_hits_outlive_their_index(clinical_db, clinical_catalog):
     # A result keeps its hits after the index it came from is dropped; the
-    # hits must not keep that index's embedding matrix alive with them.
+    # hits must not keep that index's vector store alive with them.
     index = ValueIndex.build(clinical_db, clinical_catalog)
     hits = index.search_values("F")
-    matrix = weakref.ref(index._cell_matrix.base)
+    matrix = weakref.ref(index._cell_store)
     del index
     gc.collect()
     assert matrix() is None
@@ -215,3 +227,116 @@ def test_search_matches_brute_force(clinical_index, query, config):
         for h in clinical_index.search_values(query, config)
     ]
     assert got == brute_force_search(clinical_index, query, config)
+
+
+# -- any embedder ---------------------------------------------------------
+
+
+class _SignedBigramEmbedder:
+    """Hashed character bigrams with signed weights, scaled to unit length.
+
+    Its vectors have negative components and exact zeros, and their values
+    are not exact binary fractions, so sums in another order would differ
+    in the last bits.
+    """
+
+    dim = 24
+
+    def embed(self, text):
+        folded = text.strip().casefold()
+        if not folded:
+            raise EmbeddingError("cannot embed empty text")
+        vector = np.zeros(self.dim)
+        for pair in zip(folded, folded[1:] + "$"):
+            code = zlib.crc32("".join(pair).encode("utf-8"))
+            vector[code % self.dim] += 1.0 if code & 64 else -0.7
+        norm = np.linalg.norm(vector)
+        if norm == 0.0:
+            raise EmbeddingError("zero vector")
+        return vector / norm
+
+
+def _dense_score(probes, vector):
+    """Best plain dot product over the probes, summed dimension by dimension."""
+    best = None
+    for probe in probes:
+        total = 0.0
+        for p, v in zip(probe.tolist(), vector.tolist()):
+            total += p * v
+        best = total if best is None else max(best, total)
+    return best
+
+
+def _dense_ranking(entries, score_of, config, keep=lambda entry: True):
+    """(entry, score) by descending score, ties in entry order, thresholded."""
+    scored = [(-score_of(e), i, e) for i, e in enumerate(entries) if keep(e)]
+    scored.sort(key=lambda item: (item[0], item[1]))
+    return [(e, -neg) for neg, _i, e in scored if -neg >= config.threshold][: config.top_k]
+
+
+@pytest.fixture(scope="module")
+def stub_index(tmp_path_factory):
+    rng = random.Random(17)
+    syllables = ["ka", "lo", "mi", "ne", "ru", "ta", "vi", "so"]
+    words = ["".join(rng.choices(syllables, k=rng.randint(1, 3))) for _ in range(40)]
+    path = tmp_path_factory.mktemp("stub") / "stub.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE Person (name text, city text)")
+    conn.execute("CREATE TABLE Town (city text, Region text)")
+    for _ in range(60):
+        conn.execute(
+            "INSERT INTO Person VALUES (?, ?)",
+            (" ".join(rng.choices(words, k=rng.randint(1, 2))), rng.choice(words).upper()),
+        )
+    for word in words[:25]:
+        conn.execute("INSERT INTO Town VALUES (?, ?)", (word, rng.choice(words) + " " + word))
+    conn.execute("INSERT INTO Town VALUES ('   ', 'north')")  # a cell that does not embed
+    conn.commit()
+    conn.close()
+    catalog = ingest_schema(path)
+    return ValueIndex.build(path, catalog, _SignedBigramEmbedder()), catalog, words
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.4, 0.65])
+@pytest.mark.parametrize("top_k", [1, 3, 50])
+def test_any_embedder_search_matches_dense_scan(stub_index, threshold, top_k):
+    index, catalog, words = stub_index
+    embedder = index.embedder
+    config = RetrievalConfig(top_k=top_k, threshold=threshold)
+    cells = [e for e in index.entries if e.kind == "cell_value"]
+    columns = [e for e in index.entries if e.kind == "column_name"]
+    assert "   " not in {e.text for e in cells}
+    queries = words[:6] + [words[3].upper(), f"find {words[5]} {words[8]} now", "zz"]
+    for query in queries:
+        probes = [embedder.embed(p) for p in _word_ngrams(query)]
+        got = [(h.entry, h.similarity) for h in index.search_values(query, config)]
+        assert got == _dense_ranking(cells, lambda e: _dense_score(probes, e.vector), config)
+        for table, column in (("person", "NAME"), ("Town", "city")):
+            got = [
+                (h.entry, h.similarity)
+                for h in index.search_values(query, config, restrict=(table, column))
+            ]
+            assert got == _dense_ranking(
+                cells,
+                lambda e: _dense_score(probes, e.vector),
+                config,
+                keep=lambda e: (e.table.casefold(), e.column.casefold())
+                == (table.casefold(), column.casefold()),
+            )
+        ranked = _dense_ranking(
+            columns,
+            lambda e: max(
+                _dense_score(probes, e.vector),
+                _dense_score(probes, embedder.embed(f"{e.table}.{e.column}")),
+            ),
+            config,
+        )
+        assert index.search_columns(query, catalog, config) == ColumnSelection.of(
+            catalog, [(e.table, e.column) for e, _score in ranked]
+        )
+
+
+def test_top_k_zero_returns_nothing(clinical_index, clinical_catalog):
+    cfg = RetrievalConfig(threshold=0.0, top_k=0)
+    assert clinical_index.search_values("F", cfg) == []
+    assert clinical_index.search_columns("Date", clinical_catalog, cfg).pairs() == ()
