@@ -6,227 +6,33 @@ result vote. Model access goes through a gateway object, so every
 deterministic part runs offline against recorded transcripts.
 """
 
-from .alignment import (
-    AlignmentContext,
-    AlignmentOutcome,
-    agent_align,
-    align_all,
-    align_statement,
-    function_align,
-    style_align,
-)
-from .bench import (
-    ExResult,
-    Task,
-    eval_ex,
-    eval_rves,
-    gold_has_order_by,
-    load_dataset,
-    run_bench,
-    rves_reward,
-)
-from .embedding import EMBEDDING_DIM, Embedder, TrigramEmbedder, cosine, unit_normalize
-from .errors import (
-    BenchError,
-    CotParseError,
-    EmbeddingError,
-    GatewayError,
-    GenerationError,
-    IndexBuildError,
-    IngestError,
-    SelectionError,
-    SqlSyntaxError,
-    T2SError,
-    VoteError,
-)
-from .extraction import (
-    Entity,
-    build_extraction_prompt,
-    ExtractionResult,
-    extract_entities,
-    filter_columns,
-    info_align,
-    retrieve_values,
-    run_extraction,
-)
-from .fewshot import (
-    CorrectionShot,
-    CoTBody,
-    FewShot,
-    FewShotLibrary,
-    augment_cot,
-    build_augment_prompt,
-    mask_question,
-    question_header,
-    render_fewshot,
-    render_fewshots,
-    split_marked_sections,
-)
-from .gateway import (
-    Completion,
-    Gateway,
-    HttpGateway,
-    LlmConfig,
-    RecordingGateway,
-    ScriptedGateway,
-    normalize_prompt,
-    prompt_key,
-)
-from .generation import (
-    CoTOutput,
-    GenerationConfig,
-    GenerationResult,
-    build_generation_prompt,
-    format_value_line,
-    generate_candidates,
-    parse_cot,
-    parse_plain_sql,
-    render_cot,
-)
-from .pipeline import (
-    CandidateRecord,
-    Deps,
-    PipelineConfig,
-    PipelineResult,
-    build_fewshot_library,
-    preprocess_database,
-    run_pipeline,
-)
-from .refine import (
-    CorrectionResult,
-    ErrorType,
-    ExecutionOutcome,
-    VoteCandidate,
-    VoteResult,
-    answer_key,
-    build_correction_prompt,
-    classify_error,
-    correct,
-    execute_sql,
-    is_empty_rows,
-    severity,
-    vote,
-    vote_detail,
-)
-from .schema import (
-    ColumnDef,
-    ColumnSelection,
-    SchemaCatalog,
-    TableDef,
-    expand_selection,
-    ingest_schema,
-    qualified_name,
-    quote_identifier,
-    render_schema,
-)
-from .sql_ast import canonicalize, emit, parse_select, tokenize
-from .value_index import IndexedEntry, RetrievalConfig, ValueHit, ValueIndex
+from .embedding import TrigramEmbedder
+from .errors import GatewayError, T2SError
+from .fewshot import CoTBody, FewShot, FewShotLibrary, mask_question
+from .gateway import Completion, HttpGateway, RecordingGateway, ScriptedGateway
+from .pipeline import Deps, PipelineConfig, preprocess_database, run_pipeline
+from .schema import SchemaCatalog, ingest_schema
+from .value_index import ValueIndex
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentContext",
-    "AlignmentOutcome",
-    "BenchError",
-    "CandidateRecord",
-    "ColumnDef",
-    "ColumnSelection",
-    "Completion",
-    "CorrectionResult",
-    "CorrectionShot",
     "CoTBody",
-    "CoTOutput",
-    "CotParseError",
+    "Completion",
     "Deps",
-    "EMBEDDING_DIM",
-    "Embedder",
-    "EmbeddingError",
-    "Entity",
-    "ErrorType",
-    "ExResult",
-    "ExecutionOutcome",
-    "ExtractionResult",
     "FewShot",
     "FewShotLibrary",
-    "Gateway",
     "GatewayError",
-    "GenerationConfig",
-    "GenerationError",
-    "GenerationResult",
     "HttpGateway",
-    "IndexBuildError",
-    "IndexedEntry",
-    "IngestError",
-    "LlmConfig",
     "PipelineConfig",
-    "PipelineResult",
     "RecordingGateway",
-    "RetrievalConfig",
     "SchemaCatalog",
     "ScriptedGateway",
-    "SelectionError",
-    "SqlSyntaxError",
     "T2SError",
-    "TableDef",
-    "Task",
     "TrigramEmbedder",
-    "ValueHit",
     "ValueIndex",
-    "VoteCandidate",
-    "VoteError",
-    "VoteResult",
-    "agent_align",
-    "align_all",
-    "align_statement",
-    "answer_key",
-    "augment_cot",
-    "build_augment_prompt",
-    "build_extraction_prompt",
-    "build_correction_prompt",
-    "build_fewshot_library",
-    "build_generation_prompt",
-    "format_value_line",
-    "canonicalize",
-    "classify_error",
-    "correct",
-    "cosine",
-    "emit",
-    "eval_ex",
-    "eval_rves",
-    "execute_sql",
-    "extract_entities",
-    "filter_columns",
-    "function_align",
-    "generate_candidates",
-    "gold_has_order_by",
-    "info_align",
     "ingest_schema",
-    "is_empty_rows",
-    "load_dataset",
     "mask_question",
-    "normalize_prompt",
-    "parse_cot",
-    "parse_plain_sql",
-    "parse_select",
     "preprocess_database",
-    "prompt_key",
-    "qualified_name",
-    "question_header",
-    "quote_identifier",
-    "render_cot",
-    "render_fewshot",
-    "render_fewshots",
-    "render_schema",
-    "retrieve_values",
-    "run_bench",
-    "run_extraction",
     "run_pipeline",
-    "rves_reward",
-    "severity",
-    "split_marked_sections",
-    "style_align",
-    "tokenize",
-    "unit_normalize",
-    "vote",
-    "vote_detail",
 ]

@@ -116,8 +116,9 @@ def retrieve_values(
     """Search the index per entity and merge, best similarity first.
 
     The same stored cell found through two entities is kept once at its
-    best score.  The merged list is re-cut at top_k so downstream
-    prompts see a bounded, globally ranked set.
+    best score.  Scores equal to 12 decimals keep first-seen order.  The
+    merged list is re-cut at top_k so downstream prompts see a bounded,
+    globally ranked set.
     """
     config = config or RetrievalConfig()
     best: dict[tuple[str, str, str], ValueHit] = {}
@@ -131,7 +132,7 @@ def retrieve_values(
             elif hit.similarity > best[key].similarity:
                 best[key] = hit
     merged = [best[key] for key in order]
-    merged.sort(key=lambda h: -h.similarity)
+    merged.sort(key=lambda h: -round(h.similarity, 12))
     return merged[: config.top_k]
 
 

@@ -59,6 +59,7 @@ MARK_CHANGE_AMBIGUITY = "#Change Ambiguity:"
 EMPTY_RESULT_TEXT = "Error: Result: None"
 
 SELECT_CONTENT_PREFIX = "SELECT content: "
+AUGMENT_RETRIES = 2  # further model calls when an augment reply does not parse
 
 FORMAT_NAME = "t2s-fewshot"
 FORMAT_VERSION = 1
@@ -228,20 +229,19 @@ def augment_cot(
     config: Optional[LlmConfig] = None,
     schema_text: str = "",
     db_id: str = "",
-    retries: int = 2,
     stage: Optional[str] = None,
 ) -> FewShot:
     """Turn a (question, gold SQL) pair into a stored demonstration.
 
     The gold SQL is kept verbatim no matter what the model writes.  If
-    no parseable reasoning block arrives within `retries` attempts the
-    shot is stored degraded (question and SQL only).  The shot's vector
+    no parseable reasoning block arrives after `AUGMENT_RETRIES` retries,
+    the shot is stored degraded (question and SQL only).  The shot's vector
     is left unset; `FewShotLibrary.select_fewshots` fills it in.
     """
     config = config or LlmConfig(temperature=0.0)
     prompt = build_augment_prompt(question, sql, schema_text)
     cot: Optional[CoTBody] = None
-    for _attempt in range(retries + 1):
+    for _attempt in range(AUGMENT_RETRIES + 1):
         try:
             completion = gateway.complete(prompt, config, stage=stage)
         except GatewayError:

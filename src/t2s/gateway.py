@@ -114,9 +114,6 @@ class ScriptedGateway:
     def add(self, key: str, reply: str | list[str]) -> None:
         self._replies[key] = [reply] if isinstance(reply, str) else list(reply)
 
-    def add_for_prompt(self, prompt: str, reply: str | list[str]) -> None:
-        self.add(prompt_key(prompt), reply)
-
     def complete(
         self, prompt: str, config: LlmConfig, stage: Optional[str] = None
     ) -> Completion:

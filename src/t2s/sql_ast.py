@@ -353,10 +353,6 @@ def walk_local(node: Node) -> Iterator[Node]:
         yield from walk_local(child)
 
 
-def column_refs(node: Node) -> list[ColumnRef]:
-    return [n for n in walk(node) if isinstance(n, ColumnRef)]
-
-
 def is_aggregate_call(node: Node) -> bool:
     return isinstance(node, FuncCall) and node.name.upper() in AGGREGATE_FUNCTIONS
 
@@ -1016,8 +1012,3 @@ def _emit_order_limit(order_by, limit, offset) -> str:
             clause += " OFFSET " + _emit(offset)
         parts.append(clause)
     return " ".join(parts)
-
-
-def canonicalize(sql: str) -> str:
-    """Parse and re-emit: one line, uppercase keywords, stable spacing."""
-    return emit(parse_select(sql))

@@ -82,12 +82,12 @@ class ValueHit:
         return self.entry.text
 
 
-def _word_ngrams(query: str, max_n: int = 3) -> list[str]:
-    """Whitespace word n-grams (1..max_n) plus the whole query."""
+def _word_ngrams(query: str) -> list[str]:
+    """Whitespace word n-grams of 1 to 3 words, plus the whole query."""
     words = query.split()
     probes: list[str] = []
     seen: set[str] = set()
-    for n in range(1, max_n + 1):
+    for n in (1, 2, 3):
         for i in range(len(words) - n + 1):
             probe = " ".join(words[i : i + n])
             if probe not in seen:
@@ -246,10 +246,6 @@ class ValueIndex:
     def stored_values(self, table: str, column: str) -> tuple[str, ...]:
         rows = self._by_column.get((table.casefold(), column.casefold()), ())
         return tuple(self._cells[i].text for i in rows)
-
-    def has_value(self, table: str, column: str, text: str) -> bool:
-        """Exact, case-sensitive membership test for a stored cell."""
-        return text in self.stored_values(table, column)
 
     def cell_count(self) -> int:
         return len(self._cells)

@@ -4,18 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t2s import (
+from t2s import ValueIndex, ingest_schema
+from t2s.alignment import (
     AlignmentContext,
     agent_align,
     align_all,
     align_statement,
     function_align,
-    parse_select,
     style_align,
-    emit,
-    ingest_schema,
-    ValueIndex,
 )
+from t2s.sql_ast import emit, parse_select
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t2s import EMBEDDING_DIM, EmbeddingError, TrigramEmbedder, cosine, unit_normalize
-from t2s.embedding import SparseRows
+from t2s import TrigramEmbedder
+from t2s.embedding import EMBEDDING_DIM, SparseRows, cosine, unit_normalize
+from t2s.errors import EmbeddingError
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,8 @@
 import pytest
 
-from t2s import (
-    ColumnSelection,
+from t2s import ScriptedGateway
+from t2s.extraction import (
     Entity,
-    RetrievalConfig,
-    ScriptedGateway,
     build_extraction_prompt,
     extract_entities,
     filter_columns,
@@ -12,6 +10,8 @@ from t2s import (
     retrieve_values,
     run_extraction,
 )
+from t2s.schema import ColumnSelection
+from t2s.value_index import IndexedEntry, RetrievalConfig, ValueHit
 
 
 # -- entity parsing -------------------------------------------------------
@@ -81,6 +81,20 @@ def test_retrieve_respects_global_top_k(clinical_index):
         clinical_index, [Entity("1991", "llm"), Entity("1996", "llm")], cfg
     )
     assert len(hits) == 2
+
+
+def test_retrieve_keeps_entity_order_on_rounding_ties():
+    # Exact matches score 1.0 only up to the last bits of a float sum;
+    # such ties keep the order their entities came in.
+    scores = {"alpha": 0.9999999999999998, "beta": 0.9999999999999999}
+
+    class StubIndex:
+        def search_values(self, text, config):
+            entry = IndexedEntry("cell_value", text, "T", "C", embedder=None)
+            return [ValueHit(entry, scores[text])]
+
+    hits = retrieve_values(StubIndex(), [Entity("alpha", "llm"), Entity("beta", "llm")])
+    assert [h.text for h in hits] == ["alpha", "beta"]
 
 
 # -- column filtering -----------------------------------------------------

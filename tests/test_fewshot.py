@@ -11,19 +11,23 @@ from t2s import (
     FewShot,
     FewShotLibrary,
     GatewayError,
-    IngestError,
-    LlmConfig,
     ScriptedGateway,
     TrigramEmbedder,
+    mask_question,
+)
+from t2s.embedding import cosine
+from t2s.errors import IngestError
+from t2s.fewshot import (
+    COT_MARKERS,
+    EMPTY_RESULT_TEXT,
+    DEFAULT_CORRECTIONS,
     augment_cot,
     build_augment_prompt,
-    cosine,
-    mask_question,
     render_fewshot,
     render_fewshots,
     split_marked_sections,
 )
-from t2s.fewshot import COT_MARKERS, EMPTY_RESULT_TEXT, DEFAULT_CORRECTIONS
+from t2s.gateway import LlmConfig
 
 
 # -- masking --------------------------------------------------------------
@@ -169,7 +173,7 @@ def test_augment_keeps_gold_sql_verbatim():
 
 def test_augment_retries_then_degrades():
     gw = ScriptedGateway({"augment:0": "no markers at all"})
-    shot = augment_cot("Q?", "SELECT 1", gw, stage="augment:0", retries=2)
+    shot = augment_cot("Q?", "SELECT 1", gw, stage="augment:0")
     assert shot.is_degraded()
     assert len(gw.calls) == 3
 

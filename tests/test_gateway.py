@@ -3,16 +3,8 @@ import json
 import pytest
 import requests
 
-from t2s import (
-    GatewayError,
-    HttpGateway,
-    LlmConfig,
-    RecordingGateway,
-    ScriptedGateway,
-    normalize_prompt,
-    prompt_key,
-)
-from t2s.gateway import MAX_RETRY_AFTER_S
+from t2s import GatewayError, HttpGateway, RecordingGateway, ScriptedGateway
+from t2s.gateway import MAX_RETRY_AFTER_S, LlmConfig, normalize_prompt, prompt_key
 
 CFG = LlmConfig()
 
@@ -30,7 +22,7 @@ def test_prompt_key_invariant_to_trailing_space():
 
 def test_lookup_by_prompt_key():
     gw = ScriptedGateway()
-    gw.add_for_prompt("What is 2+2?", "4")
+    gw.add(prompt_key("What is 2+2?"), "4")
     got = gw.complete("What is 2+2?  ", CFG)
     assert got.texts == ("4",)
 
@@ -43,7 +35,7 @@ def test_lookup_falls_back_to_stage():
 
 def test_prompt_key_wins_over_stage():
     gw = ScriptedGateway({"cot:q01": "by stage"})
-    gw.add_for_prompt("p", "by prompt")
+    gw.add(prompt_key("p"), "by prompt")
     assert gw.complete("p", CFG, stage="cot:q01").texts == ("by prompt",)
 
 

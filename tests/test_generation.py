@@ -2,20 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t2s import (
-    CotParseError,
+from t2s import ScriptedGateway
+from t2s.errors import CotParseError, GenerationError
+from t2s.generation import (
     CoTOutput,
     GenerationConfig,
-    GenerationError,
-    ScriptedGateway,
     build_generation_prompt,
     format_value_line,
     generate_candidates,
     parse_cot,
     parse_plain_sql,
     render_cot,
+    split_columns,
 )
-from t2s.generation import split_columns
 
 
 # -- prompt assembly ------------------------------------------------------

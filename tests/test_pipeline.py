@@ -5,16 +5,15 @@ import pytest
 from t2s import (
     Deps,
     FewShotLibrary,
-    IngestError,
-    LlmConfig,
     PipelineConfig,
     ScriptedGateway,
     ValueIndex,
-    build_fewshot_library,
     preprocess_database,
     run_pipeline,
 )
-from t2s.pipeline import KF_CHOICES, N_CANDIDATE_CHOICES, TRACE_STAGES
+from t2s.errors import IngestError
+from t2s.gateway import LlmConfig
+from t2s.pipeline import KF_CHOICES, N_CANDIDATE_CHOICES, TRACE_STAGES, build_fewshot_library
 
 
 # -- config ---------------------------------------------------------------

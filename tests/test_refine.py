@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t2s import (
-    AlignmentContext,
+from t2s import FewShotLibrary, ScriptedGateway
+from t2s.alignment import AlignmentContext
+from t2s.errors import VoteError
+from t2s.refine import (
     CorrectionResult,
     ErrorType,
     ExecutionOutcome,
-    FewShotLibrary,
-    ScriptedGateway,
     VoteCandidate,
-    VoteError,
     answer_key,
     build_correction_prompt,
     classify_error,

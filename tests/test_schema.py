@@ -4,20 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t2s import (
+from t2s import SchemaCatalog, ingest_schema
+from t2s.errors import IngestError, SelectionError
+from t2s.schema import (
     ColumnDef,
     ColumnSelection,
-    IngestError,
-    SchemaCatalog,
-    SelectionError,
     TableDef,
     expand_selection,
-    ingest_schema,
     qualified_name,
     quote_identifier,
     render_schema,
+    _affinity,
 )
-from t2s.schema import _affinity
 
 
 # -- type affinity --------------------------------------------------------

@@ -10,17 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t2s import (
-    EmbeddingError,
-    IndexBuildError,
-    RetrievalConfig,
-    TrigramEmbedder,
-    ValueIndex,
-    cosine,
-    ingest_schema,
-)
+from t2s import TrigramEmbedder, ValueIndex, ingest_schema
+from t2s.embedding import cosine
+from t2s.errors import EmbeddingError, IndexBuildError
 from t2s.schema import ColumnSelection
-from t2s.value_index import _word_ngrams
+from t2s.value_index import RetrievalConfig, _word_ngrams
 
 
 def test_word_ngrams_cover_phrases():
@@ -103,9 +97,9 @@ def test_column_search_qualified_name(clinical_index, clinical_catalog):
 
 def test_stored_values_and_has_value(clinical_index):
     assert set(clinical_index.stored_values("Patient", "SEX")) == {"F", "M"}
-    assert clinical_index.has_value("Patient", "SEX", "F")
-    assert not clinical_index.has_value("Patient", "SEX", "f")  # case matters here
-    assert not clinical_index.has_value("Patient", "SEX", "X")
+    assert "F" in clinical_index.stored_values("Patient", "SEX")
+    assert "f" not in clinical_index.stored_values("Patient", "SEX")  # case matters here
+    assert "X" not in clinical_index.stored_values("Patient", "SEX")
 
 
 def test_hits_outlive_their_index(clinical_db, clinical_catalog):
