@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -35,6 +36,7 @@ from .refine import (
     VoteCandidate,
     correct,
     execute_sql,
+    memoized,
     vote_detail,
 )
 from .schema import ColumnSelection, SchemaCatalog, ingest_schema, render_schema
@@ -62,6 +64,8 @@ class PipelineConfig:
     refinement_temperature: float = 0.7
     correction_max_rounds: int = 2
     execution_timeout_s: float = 30.0
+    # Runs per timing of each distinct SQL in a winning vote group that
+    # holds more than one; only the fastest-member tie-break reads it.
     timing_repeats: int = 3
     # model
     model_name: str = "gpt-4o"
@@ -253,7 +257,9 @@ def run_pipeline(
             "lints": [c.lint() for c in generation.candidates],
         }
 
-    # alignment
+    # alignment and execution, once per distinct SQL text; every
+    # candidate holding a statement shares its outcome (see `memoized`)
+    memo: dict = {}
     align_ctx = AlignmentContext(
         catalog=deps.catalog,
         index=deps.index,
@@ -264,7 +270,8 @@ def run_pipeline(
         if config.no_alignments:
             records.append(CandidateRecord(sql_raw=cot.sql, sql=cot.sql))
         else:
-            outcome = align_statement(cot.sql, align_ctx)
+            align = partial(align_statement, cot.sql, align_ctx)
+            outcome = memoized(memo, ("align", cot.sql), align)
             records.append(
                 CandidateRecord(
                     sql_raw=cot.sql,
@@ -278,14 +285,10 @@ def run_pipeline(
             "flags": [r.alignment_flags for r in records],
         }
 
-    # execution
     for record in records:
-        record.outcome = execute_sql(
-            deps.db_path,
-            record.sql,
-            timeout_s=config.execution_timeout_s,
-            repeats=config.timing_repeats,
-        )
+        run = partial(execute_sql, deps.db_path, record.sql,
+                      timeout_s=config.execution_timeout_s)
+        record.outcome = memoized(memo, ("execute", record.sql), run)
 
     # correction
     if not config.no_correction and deps.library is not None and deps.gateway is not None:
@@ -306,6 +309,7 @@ def run_pipeline(
                 timeout_s=config.execution_timeout_s,
                 stage_prefix=f"correction:{tag}:c{index}",
                 include_shots=not config.no_fewshot,
+                memo=memo,
             )
             if result.sql != record.sql:
                 corrected += 1
@@ -325,6 +329,15 @@ def run_pipeline(
         winner_index = 0
     else:
         result = vote_detail(vote_input)
+        group_sql = dict.fromkeys(records[i].sql for i in result.group_indices)
+        if len(group_sql) > 1:
+            # Only the fastest-member tie-break reads `elapsed`: time the
+            # group's distinct statements with repeats and vote again.
+            for sql in group_sql:
+                memo[("execute", sql)].elapsed = execute_sql(
+                    deps.db_path, sql, timeout_s=config.execution_timeout_s,
+                    repeats=config.timing_repeats).elapsed
+            result = vote_detail(vote_input)
         winner_index = result.winner_index
         trace["vote"] = {
             "winner_index": result.winner_index,

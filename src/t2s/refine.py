@@ -19,8 +19,9 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .alignment import AlignmentContext, align_statement
 from .errors import GatewayError, VoteError
@@ -108,22 +109,24 @@ def execute_sql(
     opened read-only as a second line of defense.
 
     With `repeats` > 1 a query that returns rows is run again and the
-    reported elapsed time is the median, which steadies the timing
-    signal the voter and the efficiency score depend on.
+    reported elapsed time is the median of the runs that returned rows.
+    Status and rows are the first run's; a failed repeat ends the
+    repeats.  The vote's tie-break and the efficiency score read that
+    time, so the pipeline asks for repeats only for the tie-break.
     """
     if _first_keyword(sql) not in _READ_KEYWORDS:
         return ExecutionOutcome(
             status="Error", error_text="only read queries are executed"
         )
-    timings: list[float] = []
-    outcome: Optional[ExecutionOutcome] = None
-    for attempt in range(max(1, repeats)):
-        outcome = _execute_once(db_path, sql, timeout_s)
-        timings.append(outcome.elapsed)
-        if outcome.status != "Rows":
-            break
-    assert outcome is not None
-    outcome.elapsed = statistics.median(timings)
+    outcome = _execute_once(db_path, sql, timeout_s)
+    if outcome.status == "Rows" and repeats > 1:
+        timings = [outcome.elapsed]
+        for _ in range(repeats - 1):
+            again = _execute_once(db_path, sql, timeout_s)
+            if again.status != "Rows":
+                break
+            timings.append(again.elapsed)
+        outcome.elapsed = statistics.median(timings)
     return outcome
 
 
@@ -245,8 +248,10 @@ def vote_detail(candidates: Sequence[VoteCandidate]) -> VoteResult:
     Candidates that errored, timed out, or returned an empty result do
     not get a say.  The largest agreeing group wins; between equal-size
     groups the one containing the earliest candidate wins; inside the
-    winning group the fastest candidate is returned.  When nobody is
-    eligible the first candidate is returned, flagged as a fallback.
+    winning group the fastest candidate by `outcome.elapsed` wins, the
+    earliest of equally fast ones.  `run_pipeline` measures that time
+    only for a group of two or more distinct SQL strings.  When nobody
+    is eligible the first candidate is returned, flagged as a fallback.
     """
     if not candidates:
         raise VoteError("no candidates to vote over")
@@ -330,6 +335,20 @@ def build_correction_prompt(
     return "\n\n".join(parts)
 
 
+def memoized(memo: Optional[dict], key: tuple, compute: Callable):
+    """`compute()`, once per `key` in `memo`; every call without a memo.
+
+    `run_pipeline` keeps one memo per question, keyed by ("align", raw
+    SQL) and ("execute", SQL), so each distinct statement is aligned and
+    executed once and every candidate holding it shares the outcome.
+    """
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 @dataclass
 class CorrectionResult:
     sql: str
@@ -354,13 +373,15 @@ def correct(
     timeout_s: float = DEFAULT_TIMEOUT_S,
     stage_prefix: Optional[str] = None,
     include_shots: bool = True,
+    memo: Optional[dict] = None,
 ) -> CorrectionResult:
     """Repair a failing candidate, never accepting a worse state.
 
     Each round: classify, prompt with a matching demonstration, align
     the proposed SQL, execute it, and keep it only if it is no worse
     than what we had.  Stops early when healthy, when the model has
-    nothing parseable to offer, or when a repair regresses.
+    nothing parseable to offer, or when a repair regresses.  A repair
+    found in the question's `memo` (see `memoized`) is not run again.
     """
     llm_config = (llm or LlmConfig()).with_(n_samples=1)
     result = CorrectionResult(sql=sql, outcome=outcome)
@@ -393,9 +414,10 @@ def correct(
             break
         result.rounds = round_no
         if align_ctx is not None:
-            aligned = align_statement(new_sql, align_ctx)
-            new_sql = aligned.sql_out
-        new_outcome = execute_sql(db_path, new_sql, timeout_s=timeout_s)
+            align = partial(align_statement, new_sql, align_ctx)
+            new_sql = memoized(memo, ("align", new_sql), align).sql_out
+        run = partial(execute_sql, db_path, new_sql, timeout_s=timeout_s)
+        new_outcome = memoized(memo, ("execute", new_sql), run)
         result.history.append((new_sql, new_outcome.status))
         if severity(classify_error(new_outcome)) > severity(error):
             result.flags.append(f"correction_reverted:round{round_no}")

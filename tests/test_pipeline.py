@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import t2s.pipeline
+import t2s.refine
 from t2s import (
     Deps,
     FewShotLibrary,
@@ -169,6 +171,79 @@ def test_pipeline_deterministic_across_runs(e2e):
     ]
     assert results[0].sql == results[1].sql
     assert results[0].rows == results[1].rows
+
+
+# -- one alignment and one execution per distinct SQL --------------------
+
+FEMALE = "SELECT COUNT(*) FROM Patient WHERE SEX = 'F'"
+
+
+@pytest.fixture
+def sql_calls(monkeypatch):
+    """("align" | "execute", SQL, repeats) of every call through the module
+    globals that `run_pipeline` and `correct` align and execute with."""
+    calls = []
+
+    def counting(kind, original):
+        def wrapper(*args, **kwargs):
+            sql = args[0] if kind == "align" else args[1]
+            calls.append((kind, sql, kwargs.get("repeats", 1)))
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (t2s.pipeline, t2s.refine):
+        for kind, name in (("align", "align_statement"), ("execute", "execute_sql")):
+            monkeypatch.setattr(module, name, counting(kind, getattr(module, name)))
+    return calls
+
+
+def _run_samples(e2e, samples, repairs=None):
+    gateway = ScriptedGateway({"cot:t": [f"#SQL: {sql}" for sql in samples], **(repairs or {})})
+    config = e2e.config.with_(n_candidates=len(samples), no_extraction=True)
+    return run_pipeline("How many patients are female?", e2e.make_deps(gateway), config,
+                        question_id="t")
+
+
+def test_pipeline_aligns_and_executes_each_distinct_sql_once(e2e, sql_calls):
+    bad = "SELECT COUNT(PatientID) FROM Patient WHERE SEX = 'F'"
+    lower = "SELECT COUNT(*) FROM Patient WHERE SEX = 'f'"
+    samples = [FEMALE, FEMALE, lower, bad, bad]
+    # both repairs equal the first sample, already aligned and executed
+    repairs = {f"correction:t:c{i}:round1": f"#SQL: {FEMALE}" for i in (3, 4)}
+    result = _run_samples(e2e, samples, repairs)
+    assert [c.sql for c in result.candidates] == [FEMALE] * 5
+    assert [c.correction_rounds for c in result.candidates] == [0, 0, 0, 1, 1]
+    assert [sql for kind, sql, _ in sql_calls if kind == "align"] == [FEMALE, lower, bad]
+    executed = [sql for kind, sql, _ in sql_calls if kind == "execute"]
+    assert len(executed) == 2
+    assert executed[0] == FEMALE and "PatientID" in executed[1]
+    # one distinct SQL in the winning group: no timing repeats
+    assert all(repeats == 1 for _, _, repeats in sql_calls)
+    assert result.winner_index == 0
+    assert result.rows == ((3,),)
+
+
+def test_pipeline_times_only_a_mixed_winning_group(e2e, sql_calls):
+    by_id = "SELECT COUNT(ID) FROM Patient WHERE SEX = 'F'"
+    everyone = "SELECT COUNT(*) FROM Patient"
+    result = _run_samples(e2e, [FEMALE, by_id, FEMALE, everyone])
+    group = {result.candidates[i].sql for i in (0, 1, 2)}
+    assert len(group) == 2
+    single = [sql for kind, sql, repeats in sql_calls if kind == "execute" and repeats == 1]
+    assert len(single) == 3  # FEMALE, by_id and everyone, once each
+    timed = [sql for kind, sql, repeats in sql_calls if repeats > 1]
+    assert sorted(timed) == sorted(group)
+    assert all(repeats == e2e.config.timing_repeats
+               for _, _, repeats in sql_calls if repeats > 1)
+    assert result.winner_index in (0, 1)
+    assert result.rows == ((3,),)
+
+
+def test_pipeline_winner_of_one_distinct_sql_is_its_first_member(e2e):
+    samples = ["SELECT COUNT(*) FROM Patient"] + [FEMALE] * 6
+    winners = {_run_samples(e2e, samples).winner_index for _ in range(2)}
+    assert winners == {1}
 
 
 # -- offline preparation --------------------------------------------------

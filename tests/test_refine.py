@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import t2s.refine
 from t2s import FewShotLibrary, ScriptedGateway
 from t2s.alignment import AlignmentContext
 from t2s.errors import VoteError
@@ -88,6 +89,24 @@ def test_execute_median_timing(clinical_db):
     out = execute_sql(clinical_db, "SELECT * FROM Laboratory", repeats=3)
     assert out.status == "Rows"
     assert len(out.rows) == 6
+
+
+def test_execute_failed_repeat_keeps_first_rows(clinical_db, monkeypatch):
+    runs = []
+    original = t2s.refine._execute_once
+
+    def second_run_times_out(db_path, sql, timeout_s):
+        runs.append(sql)
+        if len(runs) == 2:
+            return ExecutionOutcome(status="Timeout", error_text="Timeout", elapsed=9.0)
+        return original(db_path, sql, timeout_s)
+
+    monkeypatch.setattr(t2s.refine, "_execute_once", second_run_times_out)
+    out = execute_sql(clinical_db, "SELECT COUNT(*) FROM Patient", repeats=3)
+    assert out.status == "Rows"
+    assert out.rows == ((5,),)
+    assert len(runs) == 2  # the failed repeat ends the repeats
+    assert out.elapsed < 9.0  # and is left out of the median
 
 
 # -- classification -------------------------------------------------------
