@@ -5,6 +5,8 @@ actually return.  Comparison is order-insensitive unless the gold query
 itself orders its result at the top level, in which case row order is
 part of the answer.  A gold query that fails to run excludes the task
 from aggregates instead of silently counting against the prediction.
+A task whose pipeline raises a `T2SError` is recorded with the error's
+class and scores EX 0; the rest of the run goes on.
 
 The efficiency score rewards a correct prediction by how its runtime
 compares to gold, in fixed tiers of the ratio gold_time/pred_time; an
@@ -21,13 +23,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import BenchError, SqlSyntaxError
+from .errors import BenchError, SqlSyntaxError, T2SError
 from .pipeline import ABLATION_FLAGS, Deps, PipelineConfig, PipelineResult, run_pipeline
 from .refine import answer_key, execute_sql
 from .sql_ast import parse_select
 
 REPORT_FORMAT = "t2s-report"
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 # (minimum gold_time/pred_time ratio, reward); first match wins.
 RVES_TIERS: tuple[tuple[float, float], ...] = (
@@ -187,14 +189,19 @@ def run_bench(
         if task.db_id not in deps_by_db:
             raise BenchError(f"no database registered for db_id {task.db_id!r}")
 
-    def solve(task: Task) -> PipelineResult:
-        return run_pipeline(
-            task.question,
-            deps_by_db[task.db_id],
-            config,
-            evidence=task.evidence,
-            question_id=task.question_id,
-        )
+    def solve(task: Task) -> tuple[PipelineResult, Optional[str]]:
+        try:
+            return run_pipeline(
+                task.question,
+                deps_by_db[task.db_id],
+                config,
+                evidence=task.evidence,
+                question_id=task.question_id,
+            ), None
+        except T2SError as exc:
+            failed = PipelineResult(task.question, sql="", status="Failed", rows=(),
+                                    winner_index=-1, candidates=[], trace={})
+            return failed, type(exc).__name__
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -203,7 +210,7 @@ def run_bench(
         results = [solve(task) for task in tasks]
 
     task_entries = []
-    for task, result in zip(tasks, results):
+    for task, (result, error) in zip(tasks, results):
         db_path = deps_by_db[task.db_id].db_path
         ex = eval_ex(db_path, result.sql, task.gold_sql, timeout_s=config.execution_timeout_s)
         entry = {
@@ -213,6 +220,7 @@ def run_bench(
             "question": task.question,
             "sql": result.sql,
             "status": result.status,
+            "error": error,
             "gold_failed": ex.gold_failed,
             "ex": bool(ex.match),
             "ordered_comparison": ex.ordered,
@@ -269,6 +277,7 @@ def run_bench(
             "overall": aggregate(scored),
             "by_difficulty": by_difficulty,
             "gold_failures": len(task_entries) - len(scored),
+            "pipeline_failures": sum(1 for e in task_entries if e["error"]),
         },
     }
     if out_path is not None:

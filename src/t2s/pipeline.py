@@ -14,6 +14,8 @@ are what `Deps` carries into a run.
 from __future__ import annotations
 
 import json
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -33,6 +35,7 @@ from .generation import (
 )
 from .refine import (
     ExecutionOutcome,
+    Memo,
     VoteCandidate,
     correct,
     execute_sql,
@@ -45,6 +48,12 @@ from .value_index import RetrievalConfig, ValueIndex
 # Sweep grids for the two knobs worth sweeping.
 KF_CHOICES = (0, 3, 5, 7, 9)
 N_CANDIDATE_CHOICES = (1, 7, 15, 21)
+
+# A generation call slower than this marks a remote model, whose calls the
+# correction chains then wait on side by side; a scripted reply takes under
+# 1 ms, and there a thread handoff costs more than the chains overlap.
+SLOW_MODEL_CALL_S = 0.005
+CORRECTION_THREADS = 8
 
 
 @dataclass(frozen=True)
@@ -239,6 +248,7 @@ def run_pipeline(
         select_content=select_content,
         use_cot=not config.no_cot,
     )
+    called = time.perf_counter()
     generation = generate_candidates(
         deps.gateway,
         prompt,
@@ -250,6 +260,7 @@ def run_pipeline(
         stage=f"cot:{tag}",
         use_cot=not config.no_cot,
     )
+    slow_model = time.perf_counter() - called > SLOW_MODEL_CALL_S
     if not config.no_cot:
         trace["cot"] = {
             "candidates": len(generation.candidates),
@@ -259,7 +270,7 @@ def run_pipeline(
 
     # alignment and execution, once per distinct SQL text; every
     # candidate holding a statement shares its outcome (see `memoized`)
-    memo: dict = {}
+    memo = Memo()
     align_ctx = AlignmentContext(
         catalog=deps.catalog,
         index=deps.index,
@@ -290,11 +301,10 @@ def run_pipeline(
                       timeout_s=config.execution_timeout_s)
         record.outcome = memoized(memo, ("execute", record.sql), run)
 
-    # correction
+    # correction, one chain per candidate; the chains share only the memo
     if not config.no_correction and deps.library is not None and deps.gateway is not None:
-        corrected = 0
-        for index, record in enumerate(records):
-            result = correct(
+        def chain(index: int, record: CandidateRecord):
+            return correct(
                 question,
                 record.sql,
                 record.outcome,
@@ -311,17 +321,22 @@ def run_pipeline(
                 include_shots=not config.no_fewshot,
                 memo=memo,
             )
-            if result.sql != record.sql:
-                corrected += 1
+
+        if slow_model:
+            with ThreadPoolExecutor(CORRECTION_THREADS) as pool:
+                results = list(pool.map(chain, range(len(records)), records))
+        else:
+            results = list(map(chain, range(len(records)), records))
+        trace["correction"] = {
+            "attempted": sum(1 for r in results if r.rounds),
+            "changed": sum(r.sql != record.sql for record, r in zip(records, results)),
+            "flags": [r.flags for r in results],
+        }
+        for record, result in zip(records, results):
             record.sql = result.sql
             record.outcome = result.outcome
             record.correction_rounds = result.rounds
             record.correction_flags = result.flags
-        trace["correction"] = {
-            "attempted": sum(1 for r in records if r.correction_rounds),
-            "changed": corrected,
-            "flags": [r.correction_flags for r in records],
-        }
 
     # vote
     vote_input = [VoteCandidate(sql=r.sql, outcome=r.outcome) for r in records]

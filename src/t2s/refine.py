@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import sqlite3
 import statistics
+import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -335,18 +336,29 @@ def build_correction_prompt(
     return "\n\n".join(parts)
 
 
-def memoized(memo: Optional[dict], key: tuple, compute: Callable):
+class Memo(dict):
+    """One question's outcomes by key, and the lock `memoized` takes."""
+
+    def __init__(self):
+        super().__init__()
+        self.lock = threading.Lock()
+
+
+def memoized(memo: Optional[Memo], key: tuple, compute: Callable):
     """`compute()`, once per `key` in `memo`; every call without a memo.
 
     `run_pipeline` keeps one memo per question, keyed by ("align", raw
     SQL) and ("execute", SQL), so each distinct statement is aligned and
     executed once and every candidate holding it shares the outcome.
+    Check and compute hold `memo.lock`: chains on several threads still
+    run each statement once, and never two alignments or executions at once.
     """
     if memo is None:
         return compute()
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
+    with memo.lock:
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
 
 @dataclass
@@ -373,7 +385,7 @@ def correct(
     timeout_s: float = DEFAULT_TIMEOUT_S,
     stage_prefix: Optional[str] = None,
     include_shots: bool = True,
-    memo: Optional[dict] = None,
+    memo: Optional[Memo] = None,
 ) -> CorrectionResult:
     """Repair a failing candidate, never accepting a worse state.
 
@@ -382,6 +394,7 @@ def correct(
     than what we had.  Stops early when healthy, when the model has
     nothing parseable to offer, or when a repair regresses.  A repair
     found in the question's `memo` (see `memoized`) is not run again.
+    Calls on several threads share only the memo, which takes a lock.
     """
     llm_config = (llm or LlmConfig()).with_(n_samples=1)
     result = CorrectionResult(sql=sql, outcome=outcome)

@@ -9,6 +9,8 @@ read-only once built.
 
 import json
 import sqlite3
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +26,7 @@ from t2s import (
     ingest_schema,
     mask_question,
 )
+from t2s.pipeline import SLOW_MODEL_CALL_S
 
 CLINICAL_DDL = """
 CREATE TABLE Patient (
@@ -486,3 +489,35 @@ def e2e(tmp_path_factory, clinical_db, clinical_catalog, clinical_index, db_root
         tasks=E2E_TASKS,
         make_deps=make_deps,
     )
+
+
+class SlowGateway(ScriptedGateway):
+    """Scripted replies, each after a delay past the pipeline's slow-model
+    gate, so `run_pipeline` runs the correction chains on a pool.  Records
+    the thread of every call and the most calls in flight at once."""
+
+    def __init__(self, replies, delay_s=SLOW_MODEL_CALL_S + 0.001):
+        super().__init__(replies)
+        self.delay_s = delay_s
+        self.threads: list[threading.Thread] = []
+        self.in_flight = self.max_in_flight = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, config, stage=None):
+        with self._lock:
+            self.threads.append(threading.current_thread())
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        try:
+            time.sleep(self.delay_s)
+            return super().complete(prompt, config, stage=stage)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+@pytest.fixture
+def slow_gateway():
+    """The `SlowGateway` class; `slow_gateway(replies, delay_s=0)` is a
+    fast one that still records threads."""
+    return SlowGateway

@@ -3,7 +3,7 @@ import sqlite3
 
 import pytest
 
-from t2s import PipelineConfig
+from t2s import PipelineConfig, ScriptedGateway
 from t2s.bench import (
     RVES_TIERS,
     Task,
@@ -206,12 +206,13 @@ def bench_run(e2e):
 def test_run_bench_report_shape(bench_run):
     tasks, report = bench_run
     assert report["format"] == "t2s-report"
-    assert report["version"] == 1
+    assert report["version"] == 2
     assert len(report["tasks"]) == len(tasks) == 10
     overall = report["aggregates"]["overall"]
     assert overall["n"] == 10
     assert overall["ex"] == 1.0
     assert report["aggregates"]["gold_failures"] == 0
+    assert report["aggregates"]["pipeline_failures"] == 0
     assert report["config"]["n_candidates"] == 3
     assert set(report["aggregates"]["by_difficulty"]) == {
         "simple",
@@ -222,6 +223,7 @@ def test_run_bench_report_shape(bench_run):
     for entry in report["tasks"]:
         assert entry["ex"] is True
         assert entry["status"] == "Rows"
+        assert entry["error"] is None
         assert "extraction" in entry["trace_stages"]
 
 
@@ -250,6 +252,31 @@ def test_run_bench_jobs_equal_results(e2e):
     )
     assert strip(serial) == strip(threaded)
     assert serial["aggregates"] == threaded["aggregates"]
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_run_bench_failed_task_scores_zero_and_the_rest_as_before(e2e, jobs):
+    tasks = load_dataset(e2e.dataset_path)
+    # q03's generation call finds no scripted reply and raises GatewayError
+    replies = {k: v for k, v in e2e.replies.items() if k != "cot:q03"}
+    before = run_bench(tasks, {"clinical": e2e.make_deps()}, e2e.config, with_rves=False)
+    report = run_bench(tasks, {"clinical": e2e.make_deps(ScriptedGateway(replies))},
+                       e2e.config, with_rves=False, jobs=jobs)
+    failed = report["tasks"][2]
+    assert failed["question_id"] == "q03"
+    assert failed["error"] == "GatewayError"
+    assert failed["status"] == "Failed"
+    assert failed["ex"] is False and failed["gold_failed"] is False
+
+    def others(report):
+        return [{k: v for k, v in entry.items() if k != "winner_index"}
+                for entry in report["tasks"] if entry["question_id"] != "q03"]
+
+    assert others(report) == others(before)
+    aggregates = report["aggregates"]
+    assert aggregates["overall"] == {"n": 10, "ex": 0.9}
+    assert aggregates["pipeline_failures"] == 1
+    assert aggregates["gold_failures"] == 0
 
 
 def test_run_bench_writes_report(e2e, tmp_path):

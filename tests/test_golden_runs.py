@@ -185,7 +185,7 @@ def _perfbench_workload(monkeypatch):
     return module
 
 
-def test_golden_many_candidates(tmp_path, monkeypatch, last_vote):
+def _many_candidates_records(tmp_path, monkeypatch, last_vote, gateway_type):
     workload_module = _perfbench_workload(monkeypatch)
     spec = workload_module.SPECS["many-candidates"]
     workload = workload_module.make_workload(spec, WORKLOAD_SEED, tmp_path)
@@ -206,10 +206,38 @@ def test_golden_many_candidates(tmp_path, monkeypatch, last_vote):
     config = PipelineConfig(n_candidates=spec.n_candidates, no_correction=not spec.correction)
     records = []
     for q in workload.questions:
-        gateway = ScriptedGateway(q.replies)
+        gateway = gateway_type(q.replies)
         deps = Deps(catalog=catalog, db_path=str(workload.db_path), index=index,
                     library=library, gateway=gateway)
         last_vote.clear()
         result = run_pipeline(q.text, deps, config, question_id=q.qid)
         records.append(_record(q.qid, result, gateway, last_vote.get("vote")))
+    return records
+
+
+def test_golden_many_candidates(tmp_path, monkeypatch, last_vote):
+    records = _many_candidates_records(tmp_path, monkeypatch, last_vote, ScriptedGateway)
     _check("many_candidates", records)
+
+
+def test_golden_many_candidates_on_concurrent_chains(tmp_path, monkeypatch, last_vote,
+                                                     slow_gateway):
+    """A model slower than the pipeline's gate puts the correction chains on
+    a pool.  Every field matches the golden file, apart from the order of
+    prompts across chains: they are compared as a multiset."""
+    threads = []
+
+    def gateway_type(replies):
+        gateway = slow_gateway(replies)
+        threads.append(gateway.threads)
+        return gateway
+
+    records = _many_candidates_records(tmp_path, monkeypatch, last_vote, gateway_type)
+    assert len({t.ident for seen in threads for t in seen}) > 1
+    got = json.loads(json.dumps(records))
+    want = json.loads((GOLDEN / "many_candidates.json").read_text(encoding="utf-8"))
+    assert [r["question"] for r in got] == [r["question"] for r in want]
+    for g, w in zip(got, want):
+        assert sorted(g["prompts"]) == sorted(w["prompts"]), f"{g['question']}: prompts"
+        for key in sorted((set(g) | set(w)) - {"prompts"}):
+            assert g.get(key) == w.get(key), f"many_candidates {g['question']}: {key} differs"

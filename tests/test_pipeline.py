@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -244,6 +245,56 @@ def test_pipeline_winner_of_one_distinct_sql_is_its_first_member(e2e):
     samples = ["SELECT COUNT(*) FROM Patient"] + [FEMALE] * 6
     winners = {_run_samples(e2e, samples).winner_index for _ in range(2)}
     assert winners == {1}
+
+
+# -- correction chains on a pool when the model is slow -------------------
+
+Q10 = "How many distinct patients had a lab test in 1996?"
+Q10_FIX = "SELECT COUNT(DISTINCT ID) FROM Laboratory WHERE strftime('%Y', Date) = '1996'"
+
+
+def test_pipeline_fast_model_corrects_on_the_calling_thread(e2e, slow_gateway):
+    gateway = slow_gateway(e2e.replies, delay_s=0)
+    result = run_pipeline(Q10, e2e.make_deps(gateway), e2e.config, question_id="q10")
+    assert [c.correction_rounds for c in result.candidates] == [1, 1, 1]
+    assert sum(1 for _, stage in gateway.calls if stage.startswith("correction:")) == 3
+    assert {t.ident for t in gateway.threads} == {threading.get_ident()}
+
+
+def test_pipeline_slow_model_runs_chains_concurrently(e2e, slow_gateway):
+    gateway = slow_gateway(e2e.replies)
+    result = run_pipeline(Q10, e2e.make_deps(gateway), e2e.config, question_id="q10")
+    assert [c.sql for c in result.candidates] == [Q10_FIX] * 3
+    assert [c.correction_rounds for c in result.candidates] == [1, 1, 1]
+    assert result.trace["correction"]["changed"] == 3
+    assert result.rows == ((1,),)
+    assert gateway.max_in_flight >= 2
+    pool_threads = {t for t in gateway.threads if t.ident != threading.get_ident()}
+    assert pool_threads
+    assert not any(t.is_alive() for t in pool_threads)
+
+
+def test_pipeline_slow_model_gateway_error_stays_in_its_chain(e2e, slow_gateway):
+    replies = {k: v for k, v in e2e.replies.items() if k != "correction:q10:c1:round1"}
+    result = run_pipeline(Q10, e2e.make_deps(slow_gateway(replies)), e2e.config,
+                          question_id="q10")
+    assert [c.correction_flags for c in result.candidates] == [
+        [], ["correction_gateway_failed"], []]
+    assert [c.correction_rounds for c in result.candidates] == [1, 0, 1]
+    assert result.candidates[0].sql == result.candidates[2].sql == Q10_FIX
+    assert result.candidates[1].outcome.status == "Error"
+    assert result.rows == ((1,),)
+
+
+def test_pipeline_slow_model_unexpected_chain_error_is_raised(e2e, slow_gateway):
+    class Broken(slow_gateway):
+        def complete(self, prompt, config, stage=None):
+            if stage == "correction:q10:c1:round1":
+                raise RuntimeError("chain c1 broke")
+            return super().complete(prompt, config, stage=stage)
+
+    with pytest.raises(RuntimeError, match="chain c1 broke"):
+        run_pipeline(Q10, e2e.make_deps(Broken(e2e.replies)), e2e.config, question_id="q10")
 
 
 # -- offline preparation --------------------------------------------------

@@ -1,4 +1,6 @@
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from t2s.refine import (
     CorrectionResult,
     ErrorType,
     ExecutionOutcome,
+    Memo,
     VoteCandidate,
     answer_key,
     build_correction_prompt,
@@ -19,6 +22,7 @@ from t2s.refine import (
     correct,
     execute_sql,
     is_empty_rows,
+    memoized,
     severity,
     vote,
     vote_detail,
@@ -482,3 +486,28 @@ def test_correct_applies_alignment(clinical_db, clinical_catalog, clinical_index
 def test_correction_result_is_dataclass():
     result = CorrectionResult(sql="SELECT 1", outcome=ExecutionOutcome(status="Rows"))
     assert result.rounds == 0 and result.flags == [] and result.history == []
+
+
+def test_memoized_computes_once_across_threads():
+    # More threads than cores and a short switch interval: without the
+    # memo's lock, several threads find the key missing and compute it.
+    memo = Memo()
+    computed = []
+
+    def compute():
+        computed.append(None)
+        time.sleep(0.001)
+        return ExecutionOutcome(status="Rows")
+
+    def lookup(_):
+        return memoized(memo, ("execute", "SELECT 1"), compute)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            outcomes = list(pool.map(lookup, range(32)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(computed) == 1
+    assert all(outcome is outcomes[0] for outcome in outcomes)
