@@ -10,13 +10,15 @@ together, which is exactly what retrieval over messy stored values needs.
 Any object with a ``dim`` attribute and an ``embed(text) -> np.ndarray``
 method can stand in for the default, e.g. a client for a hosted embedding
 model.  `SparseRows` stores such vectors for value search and few-shot
-selection.
+selection; `embed_parts` fills it from many texts, the default embedder's
+in one vectorised trigram pass per block of texts, with no dense vectors.
 """
 
 from __future__ import annotations
 
+import re
 import zlib
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -25,6 +27,13 @@ from .errors import EmbeddingError
 EMBEDDING_DIM = 512
 
 _BOUNDARY = "#"
+# What collapsing drops: exactly the characters that are not `str.isalnum`.
+_NOT_ALNUM = re.compile(r"[\W_]+")
+# Texts and vectors are taken this many at a time, bounding working arrays.
+_BLOCK = 256
+_KEY = 0x110000  # past the last code point: (c0*K + c1)*K + c2 keys a trigram
+Part = tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, dims, values of non-zeros
+_EMPTY: Part = (np.empty(0, np.int32), np.empty(0, np.uint8), np.empty(0))
 
 
 @runtime_checkable
@@ -46,6 +55,16 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b))
 
 
+def _padded(text: str) -> str:
+    """The string a text's trigrams are taken from."""
+    folded = text.strip().casefold()
+    if not folded:
+        raise EmbeddingError("cannot embed empty text")
+    # Purely symbolic strings ("???") would collapse to nothing; fall
+    # back to the folded text so they still embed deterministically.
+    return _BOUNDARY + (_NOT_ALNUM.sub("", folded) or folded) + _BOUNDARY
+
+
 class TrigramEmbedder:
     """Deterministic hashed character-trigram embedder.
 
@@ -60,25 +79,66 @@ class TrigramEmbedder:
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
-        stripped = text.strip()
-        if not stripped:
-            raise EmbeddingError("cannot embed empty text")
+        padded = _padded(text)
         counts = np.zeros(self.dim, dtype=np.float64)
-        for gram in self._features(stripped):
-            counts[zlib.crc32(gram.encode("utf-8")) % self.dim] += 1.0
+        for i in range(len(padded) - 2):
+            counts[zlib.crc32(padded[i : i + 3].encode("utf-8")) % self.dim] += 1.0
         return unit_normalize(counts)
 
-    @staticmethod
-    def _features(text: str) -> list[str]:
-        folded = text.casefold()
-        collapsed = "".join(ch for ch in folded if ch.isalnum())
-        # Purely symbolic strings ("???") would collapse to nothing; fall
-        # back to the folded text so they still embed deterministically.
-        core = collapsed if collapsed else folded
-        padded = _BOUNDARY + core + _BOUNDARY
-        if len(padded) < 3:
-            return [padded]
-        return [padded[i : i + 3] for i in range(len(padded) - 2)]
+
+def _trigram_parts(padded: list[str], dim: int, first_row: int) -> list[Part]:
+    """The non-zeros of `TrigramEmbedder` vectors of padded texts, without
+    a dense vector: equal, to the bit, to `dense_parts` over `embed`."""
+    joined = "".join(padded)
+    codes = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
+    lengths = np.array([len(text) for text in padded], dtype=np.intp)
+    # A trigram starts at every position but the last two of each text.
+    starts = np.ones(len(joined), dtype=bool)
+    starts[np.subtract.outer(lengths.cumsum(), (1, 2))] = False
+    at = np.flatnonzero(starts)
+    keys = (codes[at] * _KEY + codes[at + 1]) * _KEY + codes[at + 2]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    grams = [joined[i : i + 3] for i in at[first].tolist()]
+    hashed = np.array([zlib.crc32(gram.encode("utf-8")) % dim for gram in grams], dtype=np.intp)
+    text_of = np.repeat(np.arange(len(padded)), lengths - 2)
+    pairs, counts = np.unique(text_of * dim + hashed[inverse], return_counts=True)
+    rows, dims = np.divmod(pairs, dim)
+    # Sums of squared integer counts are exact: each norm is `np.linalg.norm`'s.
+    norms = np.sqrt(np.bincount(rows, counts * counts))
+    dims = dims.astype(np.min_scalar_type(dim))
+    return [((rows + first_row).astype(np.int32), dims, counts / norms[rows])]
+
+
+def dense_parts(vectors: Sequence[np.ndarray], dim: int, first_row: int = 0) -> list[Part]:
+    """The non-zeros of dense vectors, numbered from `first_row`."""
+    parts = []
+    for first in range(0, len(vectors), _BLOCK):
+        block = np.array(vectors[first : first + _BLOCK]).reshape(-1, dim)
+        at = np.flatnonzero(block != 0)
+        rows, dims = np.divmod(at, dim)
+        dims = dims.astype(np.min_scalar_type(dim))
+        parts.append(((rows + first_row + first).astype(np.int32), dims, block.ravel()[at]))
+    return parts
+
+
+def embed_parts(embedder: Embedder, texts: Sequence[str]) -> tuple[list[Part], list[int]]:
+    """The non-zeros of the texts that embed, a row each, and their indices."""
+    if isinstance(embedder, TrigramEmbedder):
+        prepare, produce = _padded, _trigram_parts
+    else:
+        prepare, produce = embedder.embed, dense_parts
+    kept: list[int] = []
+    parts: list[Part] = []
+    for first in range(0, len(texts), _BLOCK):
+        rows = []
+        for i, text in enumerate(texts[first : first + _BLOCK], start=first):
+            try:
+                rows.append(prepare(text))
+            except EmbeddingError:
+                continue
+            kept.append(i)
+        parts += produce(rows, embedder.dim, len(kept) - len(rows))
+    return parts, kept
 
 
 class SparseRows:
@@ -86,34 +146,15 @@ class SparseRows:
     non-zero value there, in row order, and those values.
     """
 
-    # Vectors are gathered this many at a time, so that building never
-    # holds more than one block of them densely.
-    _BLOCK = 256
-
-    def __init__(self, vectors: Iterable[np.ndarray], dim: int):
-        block = np.empty((self._BLOCK, dim))
-        parts = []
-        self.n = 0
-        for vector in vectors:
-            block[self.n % self._BLOCK] = vector
-            self.n += 1
-            if self.n % self._BLOCK == 0:
-                parts.append(self._nonzeros(block, self.n - self._BLOCK))
-        tail = self.n % self._BLOCK
-        parts.append(self._nonzeros(block[:tail], self.n - tail))
-        rows, dims, values = (np.concatenate(arrays) for arrays in zip(*parts))
-        # The smallest integer type makes the stable sort a radix sort.
-        by_dim = np.argsort(dims.astype(np.min_scalar_type(dim)), kind="stable")
-        self.rows, self.values = rows[by_dim], values[by_dim]
+    def __init__(self, parts: Iterable[Part], n: int, dim: int):
+        """Store `n` rows from the parts of their non-zeros, in row order."""
+        self.n = n
+        rows, dims, values = (np.concatenate(arrays) for arrays in zip(*parts, _EMPTY))
         # Dimension d's rows and values are at [starts[d], starts[d + 1]).
         self.starts = np.concatenate(([0], np.cumsum(np.bincount(dims, minlength=dim))))
-
-    @staticmethod
-    def _nonzeros(block: np.ndarray, first_row: int):
-        """Rows, dimensions and values of a block's non-zeros, row by row."""
-        at = np.flatnonzero(block != 0)
-        rows, dims = np.divmod(at, block.shape[1])
-        return (rows + first_row).astype(np.int32), dims, block.ravel()[at]
+        # The smallest integer type makes the stable sort a radix sort.
+        by_dim = np.argsort(dims.astype(np.min_scalar_type(dim), copy=False), kind="stable")
+        self.rows, self.values = rows[by_dim], values[by_dim]
 
     def max_scores(self, probes: np.ndarray) -> np.ndarray:
         """Each row's highest dot product with any probe (a row of `probes`).

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .embedding import Embedder, SparseRows, TrigramEmbedder
+from .embedding import Embedder, SparseRows, TrigramEmbedder, dense_parts
 from .errors import CotParseError, GatewayError, IngestError
 from .gateway import Gateway, LlmConfig
 
@@ -377,7 +377,8 @@ class FewShotLibrary:
             or len(cached[0]) != len(vectors)
             or any(map(operator.is_not, cached[0], vectors))
         ):
-            cached = self._pool_store = (vectors, SparseRows(vectors, len(query)))
+            store = SparseRows(dense_parts(vectors, len(query)), len(vectors), len(query))
+            cached = self._pool_store = (vectors, store)
         scores = cached[1].max_scores(query[np.newaxis])
         # Ties keep library order, which pool positions follow.
         return [pool[j] for j in np.lexsort((np.arange(len(pool)), -scores))[:k]]
@@ -415,18 +416,18 @@ class FewShotLibrary:
     def load(cls, path: str | Path) -> "FewShotLibrary":
         shots: list[FewShot] = []
         with open(path, encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
+            lines = [(lineno, raw) for lineno, raw in enumerate(handle, start=1) if raw.strip()]
         if not lines:
             raise IngestError(f"empty few-shot file: {path}")
         try:
-            header = json.loads(lines[0])
+            header = json.loads(lines[0][1])
         except json.JSONDecodeError as exc:
             raise IngestError(f"bad few-shot header in {path}: {exc}") from exc
         if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
             raise IngestError(f"not a few-shot library file: {path}")
         if header.get("version") != FORMAT_VERSION:
             raise IngestError(f"unsupported few-shot version {header.get('version')!r}")
-        for lineno, raw in enumerate(lines[1:], start=2):
+        for lineno, raw in lines[1:]:
             try:
                 record = json.loads(raw)
                 kind = record["type"]

@@ -29,7 +29,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .embedding import EMBEDDING_DIM, Embedder, SparseRows, TrigramEmbedder
+from .embedding import (
+    EMBEDDING_DIM, Embedder, SparseRows, TrigramEmbedder, dense_parts, embed_parts,
+)
 from .errors import EmbeddingError, IndexBuildError
 from .schema import ColumnSelection, SchemaCatalog, quote_identifier
 
@@ -116,14 +118,14 @@ class ValueIndex:
         self.embedder = embedder or TrigramEmbedder()
         self.dim = self.embedder.dim
         records = list(records)
-        self._cells: list[IndexedEntry] = []
-        self._cell_store = SparseRows(self._embedded(records, "cell_value", self._cells), self.dim)
-        self._columns: list[IndexedEntry] = []
-        bare = list(self._embedded(records, "column_name", self._columns))
+        self._cells, parts = self._embedded(records, "cell_value")
+        self._cell_store = SparseRows(parts, len(self._cells), self.dim)
+        self._columns, parts = self._embedded(records, "column_name")
         # Columns also match their qualified "table.column" spelling: row
         # len(columns) + i of the column store is column i's.
         qualified = [self.embedder.embed(f"{e.table}.{e.column}") for e in self._columns]
-        self._column_store = SparseRows(bare + qualified, self.dim)
+        parts += dense_parts(qualified, self.dim, len(self._columns))
+        self._column_store = SparseRows(parts, 2 * len(self._columns), self.dim)
         self.entries = self._cells + self._columns
         # Cell rows of each column, in row order.
         self._by_column: dict[tuple[str, str], list[int]] = {}
@@ -131,18 +133,11 @@ class ValueIndex:
             key = (entry.table.casefold(), entry.column.casefold())
             self._by_column.setdefault(key, []).append(row)
 
-    def _embedded(self, records: list[Record], kind: str, entries: list[IndexedEntry]):
-        """Vectors of the records of this kind, each yielded after its entry
-        is added to `entries`; a record whose text does not embed is left out."""
-        for record_kind, text, table, column in records:
-            if record_kind != kind:
-                continue
-            try:
-                vector = self.embedder.embed(text[:MAX_EMBED_CHARS])
-            except EmbeddingError:
-                continue
-            entries.append(IndexedEntry(kind, text, table, column, self.embedder))
-            yield vector
+    def _embedded(self, records: list[Record], kind: str):
+        """The entries of this kind whose text embeds, and their non-zeros."""
+        chosen = [record for record in records if record[0] == kind]
+        parts, kept = embed_parts(self.embedder, [r[1][:MAX_EMBED_CHARS] for r in chosen])
+        return [IndexedEntry(kind, *chosen[i][1:], self.embedder) for i in kept], parts
 
     # -- construction -----------------------------------------------------
 
@@ -274,29 +269,32 @@ class ValueIndex:
     def load(cls, path: str | Path, embedder: Optional[Embedder] = None) -> "ValueIndex":
         """Read a saved index and embed its entries as `build` does."""
         with open(path, encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
-        if not lines:
-            raise IndexBuildError(f"empty index file: {path}")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise IndexBuildError(f"bad index header in {path}: {exc}") from exc
-        if header.get("format") != FORMAT_NAME:
-            raise IndexBuildError(f"not a value index file: {path}")
-        if header.get("version") != FORMAT_VERSION:
-            raise IndexBuildError(
-                f"unsupported index version {header.get('version')!r} in {path}; "
-                f"re-run `t2s preprocess` to rebuild it"
-            )
-        records: list[Record] = []
-        for lineno, raw in enumerate(lines[1:], start=2):
+            lines = ((lineno, raw) for lineno, raw in enumerate(handle, start=1) if raw.strip())
+            _, first = next(lines, (0, None))
+            if first is None:
+                raise IndexBuildError(f"empty index file: {path}")
             try:
-                record = json.loads(raw)
-                fields = (record["kind"], record["text"], record["table"], record["column"])
-                if not all(isinstance(field, str) for field in fields):
-                    raise TypeError("record fields must be strings")
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise IndexBuildError(f"bad index record at line {lineno}: {exc}") from exc
-            records.append(fields)
+                header = json.loads(first)
+            except json.JSONDecodeError as exc:
+                raise IndexBuildError(f"bad index header in {path}: {exc}") from exc
+            if header.get("format") != FORMAT_NAME:
+                raise IndexBuildError(f"not a value index file: {path}")
+            if header.get("version") != FORMAT_VERSION:
+                raise IndexBuildError(
+                    f"unsupported index version {header.get('version')!r} in {path}; "
+                    f"re-run `t2s preprocess` to rebuild it"
+                )
+            records: list[Record] = []
+            for lineno, raw in lines:
+                try:
+                    record = json.loads(raw)
+                    fields = (record["kind"], record["text"], record["table"], record["column"])
+                    if not all(isinstance(field, str) for field in fields):
+                        raise TypeError("record fields must be strings")
+                    if fields[0] not in ("cell_value", "column_name"):
+                        raise ValueError(f"unknown record kind {fields[0]!r}")
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise IndexBuildError(f"bad index record at line {lineno}: {exc}") from exc
+                records.append(fields)
         embedder = embedder or TrigramEmbedder(int(header.get("dim", EMBEDDING_DIM)))
         return cls(header.get("db_id", ""), records, embedder)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t2s import TrigramEmbedder
-from t2s.embedding import EMBEDDING_DIM, SparseRows, cosine, unit_normalize
+from t2s.embedding import (
+    _NOT_ALNUM, EMBEDDING_DIM, SparseRows, cosine, dense_parts, unit_normalize,
+)
 from t2s.errors import EmbeddingError
 
 
@@ -55,6 +57,12 @@ def test_punctuation_only_falls_back_to_raw_text(embedder):
     v = embedder.embed("+")
     assert np.linalg.norm(v) == pytest.approx(1.0)
     assert cosine(embedder.embed("+"), embedder.embed("-")) < 0.5
+
+
+def test_collapse_keeps_exactly_the_alnum_characters():
+    # Every code point but the surrogates, which no str from text holds.
+    every = "".join(chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF)
+    assert _NOT_ALNUM.sub("", every) == "".join(filter(str.isalnum, every))
 
 
 def test_empty_text_rejected(embedder):
@@ -112,7 +120,7 @@ def test_sparse_rows_scores_as_dense_loop(n):
     dense = rng.normal(size=(n, 40)) * (rng.random((n, 40)) < 0.1)
     probes = rng.normal(size=(3, 40)) * (rng.random((3, 40)) < 0.3)
     probes[2] = 0.0  # a probe that reaches no row
-    store = SparseRows(iter(dense), 40)
+    store = SparseRows(dense_parts(dense, 40), n, 40)
     want = []
     for row in dense.tolist():
         sums = []

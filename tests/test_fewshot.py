@@ -432,6 +432,20 @@ def test_load_rejects_unknown_record_type(tmp_path):
         FewShotLibrary.load(path)
 
 
+def test_load_reports_the_file_line_of_a_bad_record(tmp_path):
+    # Blank lines are skipped but still counted: the broken record is on
+    # line 5 of the file.
+    path = tmp_path / "x.jsonl"
+    shot = {"type": "shot", "question": "q", "sql": "SELECT 1"}
+    path.write_text(
+        '{"format": "t2s-fewshot", "version": 1}\n'
+        + json.dumps(shot) + "\n\n  \n"
+        + '{"type": "shot", "question": "no sql"}\n'
+    )
+    with pytest.raises(IngestError, match=r"at line 5:"):
+        FewShotLibrary.load(path)
+
+
 def test_load_rejects_wrong_header(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text('{"format": "other", "version": 1, "dim": 0}\n')

@@ -4,6 +4,7 @@ import random
 import sqlite3
 import weakref
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t2s import TrigramEmbedder, ValueIndex, ingest_schema
-from t2s.embedding import cosine
+from t2s import embedding
+from t2s.embedding import SparseRows, cosine, dense_parts
 from t2s.errors import EmbeddingError, IndexBuildError
 from t2s.schema import ColumnSelection
-from t2s.value_index import RetrievalConfig, _word_ngrams
+from t2s.value_index import MAX_EMBED_CHARS, RetrievalConfig, _word_ngrams
 
 
 def test_word_ngrams_cover_phrases():
@@ -162,6 +164,102 @@ def test_load_rejects_broken_line(tmp_path, clinical_index):
         handle.write("{not json\n")
     with pytest.raises(IndexBuildError):
         ValueIndex.load(path)
+
+
+def test_load_reports_the_file_line_of_a_bad_record(tmp_path, clinical_index):
+    # Blank lines are skipped but still counted: the broken record is on
+    # line 5 of the file.
+    path = tmp_path / "broken.jsonl"
+    clinical_index.save(path)
+    header, first = path.read_text().splitlines()[:2]
+    path.write_text(f"{header}\n{first}\n\n   \n{{not json\n")
+    with pytest.raises(IndexBuildError, match=r"at line 5:"):
+        ValueIndex.load(path)
+
+
+def test_load_rejects_an_unknown_record_kind(tmp_path, clinical_index):
+    path = tmp_path / "kind.jsonl"
+    clinical_index.save(path)
+    header, first = path.read_text().splitlines()[:2]
+    odd = {"kind": "row_count", "text": "15", "table": "Patient", "column": "SEX"}
+    path.write_text(f"{header}\n{first}\n{json.dumps(odd)}\n")
+    with pytest.raises(IndexBuildError, match=r"at line 3: unknown record kind 'row_count'"):
+        ValueIndex.load(path)
+
+
+# -- batch and dense embedding agree --------------------------------------
+
+
+class _DenseTrigrams:
+    """The default embedder behind a type `ValueIndex` does not batch, so
+    its vectors go the dense block path of any other embedder."""
+
+    def __init__(self):
+        self._inner = TrigramEmbedder()
+        self.dim = self._inner.dim
+
+    def embed(self, text):
+        return self._inner.embed(text)
+
+
+def _assert_same_index(batch, dense):
+    assert [(e.kind, e.text, e.table, e.column) for e in batch.entries] == [
+        (e.kind, e.text, e.table, e.column) for e in dense.entries
+    ]
+    for name in ("_cell_store", "_column_store"):
+        got, want = getattr(batch, name), getattr(dense, name)
+        assert got.n == want.n
+        for array in ("rows", "values", "starts"):
+            a, b = getattr(got, array), getattr(want, array)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+def test_batch_leaves_out_the_records_the_dense_path_leaves_out():
+    # Blank texts, and a long text whose embedded prefix is all spaces,
+    # do not embed; the rows after them must keep their order.
+    long_blank = " " * MAX_EMBED_CHARS + "tail that is never embedded"
+    texts = ["Alice", "", "   ", "Bob Ray", "\t\n", long_blank, "+", "x" * 300, "ab", " é "]
+    records = [("cell_value", text, "T", "c") for text in texts]
+    records += [("column_name", name, "T", name) for name in ("", "c", "  ", "Total $")]
+    records *= 60  # 840 records: several blocks of the batch
+    batch = ValueIndex("db", records)
+    _assert_same_index(batch, ValueIndex("db", records, _DenseTrigrams()))
+    kept = ["Alice", "Bob Ray", "+", "x" * 300, "ab", " é "] * 60
+    assert [e.text for e in batch.entries if e.kind == "cell_value"] == kept
+    assert [e.column for e in batch.entries if e.kind == "column_name"] == ["c", "Total $"] * 60
+    assert not np.isnan(batch._cell_store.values).any()
+    # Row i of the store is the i-th kept text's vector.
+    vectors = [TrigramEmbedder().embed(text[:MAX_EMBED_CHARS]) for text in kept]
+    want = SparseRows(dense_parts(vectors, 512), len(vectors), 512)
+    for array in ("rows", "values", "starts"):
+        assert getattr(batch._cell_store, array).tobytes() == getattr(want, array).tobytes()
+
+
+_batch_texts = st.one_of(
+    st.text(max_size=12),  # any Unicode, blanks included
+    st.text(st.characters(whitelist_categories=("P", "S", "Zs")), min_size=1, max_size=6),
+    st.text(min_size=1, max_size=2),
+    st.text(" \t\n\u00a0\u2003", min_size=1, max_size=4),
+    # Over MAX_EMBED_CHARS, with an embedded prefix that may be all spaces.
+    st.builds(lambda pad, tail: " " * pad + tail, st.integers(0, MAX_EMBED_CHARS + 2),
+              st.text(min_size=1, max_size=MAX_EMBED_CHARS)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cells=st.lists(_batch_texts, max_size=40),
+    columns=st.lists(_batch_texts, max_size=5),
+    block=st.sampled_from([1, 2, 3, 256]),
+)
+def test_batch_store_equals_the_dense_store(cells, columns, block):
+    records = [("cell_value", text, "T", "c") for text in cells]
+    records += [("column_name", text, "T", text) for text in columns]
+    with mock.patch.object(embedding, "_BLOCK", block):
+        batch = ValueIndex("db", records)
+        dense = ValueIndex("db", records, _DenseTrigrams())
+    _assert_same_index(batch, dense)
 
 
 # -- brute-force agreement ------------------------------------------------
