@@ -58,6 +58,11 @@ class Completion:
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
+    def __post_init__(self):
+        # Every caller reads texts[0]; an empty completion is a failed call.
+        if not self.texts:
+            raise GatewayError("completion holds no text")
+
 
 @runtime_checkable
 class Gateway(Protocol):
@@ -102,17 +107,21 @@ class ScriptedGateway:
                     continue
                 try:
                     record = json.loads(raw)
-                    key = record["key"]
-                    reply = record["reply"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    gateway.add(record["key"], record["reply"])
+                except (json.JSONDecodeError, KeyError, TypeError, GatewayError) as exc:
                     raise GatewayError(
                         f"bad transcript line {lineno} in {path}: {exc}"
                     ) from exc
-                gateway.add(key, reply)
         return gateway
 
     def add(self, key: str, reply: str | list[str]) -> None:
-        self._replies[key] = [reply] if isinstance(reply, str) else list(reply)
+        replies = [reply] if isinstance(reply, str) else reply
+        if (not isinstance(replies, (list, tuple)) or not replies
+                or not all(isinstance(text, str) for text in replies)):
+            raise GatewayError(
+                f"reply for {key!r} must be a string or a non-empty list of strings"
+            )
+        self._replies[key] = list(replies)
 
     def complete(
         self, prompt: str, config: LlmConfig, stage: Optional[str] = None

@@ -17,11 +17,11 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .alignment import AlignmentContext, align_statement
+# Unused here, but perfbench patches t2s.pipeline.align_statement and .execute_sql.
+from .alignment import AlignmentContext, align_statement  # noqa: F401
 from .embedding import Embedder, TrigramEmbedder
 from .errors import IngestError
 from .extraction import ExtractionResult, run_extraction
@@ -35,11 +35,10 @@ from .generation import (
 )
 from .refine import (
     ExecutionOutcome,
-    Memo,
+    SqlSession,
     VoteCandidate,
     correct,
-    execute_sql,
-    memoized,
+    execute_sql,  # noqa: F401
     vote_detail,
 )
 from .schema import ColumnSelection, SchemaCatalog, ingest_schema, render_schema
@@ -269,57 +268,39 @@ def run_pipeline(
         }
 
     # alignment and execution, once per distinct SQL text; every
-    # candidate holding a statement shares its outcome (see `memoized`)
-    memo = Memo()
-    align_ctx = AlignmentContext(
-        catalog=deps.catalog,
-        index=deps.index,
-        retrieval=config.retrieval(),
-    )
+    # candidate holding a statement shares its outcome (see `SqlSession`)
+    align_ctx = AlignmentContext(catalog=deps.catalog, index=deps.index,
+                                 retrieval=config.retrieval())
+    session = SqlSession(deps.db_path, None if config.no_alignments else align_ctx,
+                         config.execution_timeout_s)
     records: list[CandidateRecord] = []
     for cot in generation.candidates:
-        if config.no_alignments:
-            records.append(CandidateRecord(sql_raw=cot.sql, sql=cot.sql))
-        else:
-            align = partial(align_statement, cot.sql, align_ctx)
-            outcome = memoized(memo, ("align", cot.sql), align)
-            records.append(
-                CandidateRecord(
-                    sql_raw=cot.sql,
-                    sql=outcome.sql_out,
-                    alignment_flags=outcome.flags,
-                )
-            )
+        aligned = session.align(cot.sql)
+        records.append(CandidateRecord(sql_raw=cot.sql, sql=aligned.sql_out,
+                                       alignment_flags=aligned.flags,
+                                       outcome=session.execute(aligned.sql_out)))
     if not config.no_alignments:
         trace["alignments"] = {
             "changed": sum(1 for r in records if r.sql != r.sql_raw),
             "flags": [r.alignment_flags for r in records],
         }
 
-    for record in records:
-        run = partial(execute_sql, deps.db_path, record.sql,
-                      timeout_s=config.execution_timeout_s)
-        record.outcome = memoized(memo, ("execute", record.sql), run)
-
-    # correction, one chain per candidate; the chains share only the memo
+    # correction, one chain per candidate; the chains share only the session
     if not config.no_correction and deps.library is not None and deps.gateway is not None:
         def chain(index: int, record: CandidateRecord):
             return correct(
                 question,
                 record.sql,
                 record.outcome,
-                deps.db_path,
+                session,
                 deps.library,
                 deps.gateway,
-                align_ctx=None if config.no_alignments else align_ctx,
                 schema_text=schema_text,
                 value_lines=value_lines,
                 llm=config.base_llm().with_(temperature=config.refinement_temperature),
                 max_rounds=config.correction_max_rounds,
-                timeout_s=config.execution_timeout_s,
                 stage_prefix=f"correction:{tag}:c{index}",
                 include_shots=not config.no_fewshot,
-                memo=memo,
             )
 
         if slow_model:
@@ -349,9 +330,7 @@ def run_pipeline(
             # Only the fastest-member tie-break reads `elapsed`: time the
             # group's distinct statements with repeats and vote again.
             for sql in group_sql:
-                memo[("execute", sql)].elapsed = execute_sql(
-                    deps.db_path, sql, timeout_s=config.execution_timeout_s,
-                    repeats=config.timing_repeats).elapsed
+                session.time(sql, config.timing_repeats)
             result = vote_detail(vote_input)
         winner_index = result.winner_index
         trace["vote"] = {

@@ -20,11 +20,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .alignment import AlignmentContext, align_statement
+from .alignment import AlignmentContext, AlignmentOutcome, align_statement
 from .errors import GatewayError, VoteError
 from .fewshot import (
     CORRECTION_HEADER,
@@ -336,29 +335,39 @@ def build_correction_prompt(
     return "\n\n".join(parts)
 
 
-class Memo(dict):
-    """One question's outcomes by key, and the lock `memoized` takes."""
+class SqlSession:
+    """One question's alignment and execution, once per distinct SQL.
 
-    def __init__(self):
-        super().__init__()
-        self.lock = threading.Lock()
-
-
-def memoized(memo: Optional[Memo], key: tuple, compute: Callable):
-    """`compute()`, once per `key` in `memo`; every call without a memo.
-
-    `run_pipeline` keeps one memo per question, keyed by ("align", raw
-    SQL) and ("execute", SQL), so each distinct statement is aligned and
-    executed once and every candidate holding it shares the outcome.
-    Check and compute hold `memo.lock`: chains on several threads still
-    run each statement once, and never two alignments or executions at once.
+    One lock covers both, so correction chains on several threads share
+    every outcome and never run two at once.  Without an alignment
+    context (`no_alignments`) `align` returns the statement unchanged.
     """
-    if memo is None:
-        return compute()
-    with memo.lock:
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
+
+    def __init__(self, db_path: str | Path, align_ctx: Optional[AlignmentContext] = None,
+                 timeout_s: float = DEFAULT_TIMEOUT_S):
+        self.db_path, self.align_ctx, self.timeout_s = db_path, align_ctx, timeout_s
+        self._done: dict = {}
+        self._lock = threading.Lock()
+
+    def _once(self, key: tuple, compute: Callable):
+        with self._lock:
+            if key not in self._done:
+                self._done[key] = compute()
+            return self._done[key]
+
+    def align(self, sql: str) -> AlignmentOutcome:
+        if self.align_ctx is None:
+            return AlignmentOutcome(sql_in=sql, sql_out=sql, changed=False, flags=[])
+        return self._once(("align", sql), lambda: align_statement(sql, self.align_ctx))
+
+    def execute(self, sql: str) -> ExecutionOutcome:
+        return self._once(("execute", sql),
+                          lambda: execute_sql(self.db_path, sql, self.timeout_s))
+
+    def time(self, sql: str, repeats: int) -> None:
+        """Set the shared outcome's `elapsed` to the median of `repeats` runs."""
+        outcome = self.execute(sql)
+        outcome.elapsed = execute_sql(self.db_path, sql, self.timeout_s, repeats=repeats).elapsed
 
 
 @dataclass
@@ -374,27 +383,25 @@ def correct(
     question: str,
     sql: str,
     outcome: ExecutionOutcome,
-    db_path: str | Path,
+    session: SqlSession,
     library: FewShotLibrary,
     gateway: Gateway,
-    align_ctx: Optional[AlignmentContext] = None,
     schema_text: str = "",
     value_lines: Sequence[str] = (),
     llm: Optional[LlmConfig] = None,
     max_rounds: int = 2,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
     stage_prefix: Optional[str] = None,
     include_shots: bool = True,
-    memo: Optional[Memo] = None,
 ) -> CorrectionResult:
     """Repair a failing candidate, never accepting a worse state.
 
     Each round: classify, prompt with a matching demonstration, align
-    the proposed SQL, execute it, and keep it only if it is no worse
-    than what we had.  Stops early when healthy, when the model has
-    nothing parseable to offer, or when a repair regresses.  A repair
-    found in the question's `memo` (see `memoized`) is not run again.
-    Calls on several threads share only the memo, which takes a lock.
+    the proposed SQL and execute it through the question's `session`,
+    and keep it only if it is no worse than what we had.  Stops early
+    when healthy, when the model has nothing parseable to offer, or
+    when a repair regresses.  A repair the session already aligned or
+    executed is not run again.  Calls on several threads share only
+    the session, which takes a lock.
     """
     llm_config = (llm or LlmConfig()).with_(n_samples=1)
     result = CorrectionResult(sql=sql, outcome=outcome)
@@ -426,11 +433,8 @@ def correct(
             result.flags.append("correction_unparseable")
             break
         result.rounds = round_no
-        if align_ctx is not None:
-            align = partial(align_statement, new_sql, align_ctx)
-            new_sql = memoized(memo, ("align", new_sql), align).sql_out
-        run = partial(execute_sql, db_path, new_sql, timeout_s=timeout_s)
-        new_outcome = memoized(memo, ("execute", new_sql), run)
+        new_sql = session.align(new_sql).sql_out
+        new_outcome = session.execute(new_sql)
         result.history.append((new_sql, new_outcome.status))
         if severity(classify_error(new_outcome)) > severity(error):
             result.flags.append(f"correction_reverted:round{round_no}")

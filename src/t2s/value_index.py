@@ -52,7 +52,7 @@ class RetrievalConfig:
     threshold: float = 0.65
 
 
-@dataclass
+@dataclass(slots=True)
 class IndexedEntry:
     kind: str  # "cell_value" | "column_name"
     text: str
@@ -277,13 +277,16 @@ class ValueIndex:
                 header = json.loads(first)
             except json.JSONDecodeError as exc:
                 raise IndexBuildError(f"bad index header in {path}: {exc}") from exc
-            if header.get("format") != FORMAT_NAME:
+            if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
                 raise IndexBuildError(f"not a value index file: {path}")
             if header.get("version") != FORMAT_VERSION:
                 raise IndexBuildError(
                     f"unsupported index version {header.get('version')!r} in {path}; "
                     f"re-run `t2s preprocess` to rebuild it"
                 )
+            dim = header.get("dim", EMBEDDING_DIM)
+            if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
+                raise IndexBuildError(f"bad embedding dim {dim!r} in {path}")
             records: list[Record] = []
             for lineno, raw in lines:
                 try:
@@ -296,5 +299,5 @@ class ValueIndex:
                 except (KeyError, TypeError, ValueError) as exc:
                     raise IndexBuildError(f"bad index record at line {lineno}: {exc}") from exc
                 records.append(fields)
-        embedder = embedder or TrigramEmbedder(int(header.get("dim", EMBEDDING_DIM)))
+        embedder = embedder or TrigramEmbedder(dim)
         return cls(header.get("db_id", ""), records, embedder)

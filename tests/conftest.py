@@ -17,6 +17,7 @@ import pytest
 
 from t2s import (
     CoTBody,
+    Completion,
     Deps,
     FewShot,
     FewShotLibrary,
@@ -521,3 +522,19 @@ def slow_gateway():
     """The `SlowGateway` class; `slow_gateway(replies, delay_s=0)` is a
     fast one that still records threads."""
     return SlowGateway
+
+
+class EmptyGateway:
+    """A model whose every completion holds no text at all."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, prompt, config, stage=None):
+        self.calls += 1
+        return Completion(texts=())
+
+
+@pytest.fixture
+def empty_gateway():
+    return EmptyGateway()

@@ -260,6 +260,21 @@ def test_run_extraction_survives_gateway_error(clinical_catalog, clinical_index)
     assert result.selection is not None
 
 
+def test_run_extraction_survives_empty_completion(
+    clinical_catalog, clinical_index, empty_gateway
+):
+    result = run_extraction(
+        "Which patient has the highest IGA?",
+        clinical_catalog,
+        clinical_index,
+        empty_gateway,
+        stage="extraction:q",
+    )
+    assert empty_gateway.calls == 1
+    assert [e.text for e in result.entities] == ["highest"]
+    assert result.reason == ""
+
+
 def test_run_extraction_stage_toggles(clinical_catalog, clinical_index):
     gw = ScriptedGateway({"extraction:q": REPLY})
     result = run_extraction(

@@ -184,6 +184,13 @@ def test_augment_degrades_on_gateway_error():
     assert shot.sql == "SELECT 1"
 
 
+def test_augment_degrades_on_empty_completion(empty_gateway):
+    shot = augment_cot("Q?", "SELECT 1", empty_gateway, stage="augment:0")
+    assert shot.is_degraded()
+    assert shot.sql == "SELECT 1"
+    assert empty_gateway.calls == 1
+
+
 def test_augment_prompt_contains_pair_and_format():
     prompt = build_augment_prompt("The question?", "SELECT 1", schema_text="/* Database schema */\nTable X:")
     assert prompt.startswith("/* Database schema */")

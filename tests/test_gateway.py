@@ -3,7 +3,7 @@ import json
 import pytest
 import requests
 
-from t2s import GatewayError, HttpGateway, RecordingGateway, ScriptedGateway
+from t2s import Completion, GatewayError, HttpGateway, RecordingGateway, ScriptedGateway
 from t2s.gateway import MAX_RETRY_AFTER_S, LlmConfig, normalize_prompt, prompt_key
 
 CFG = LlmConfig()
@@ -110,6 +110,24 @@ def test_transcript_errors_name_the_line(tmp_path):
     with pytest.raises(GatewayError) as err:
         ScriptedGateway.from_transcript(path)
     assert "line 1" in str(err.value)
+
+    for reply in ("5", "[]", '["a", 3]', "null"):
+        path.write_text('{"key": "k", "reply": "r"}\n{"key": "k2", "reply": %s}\n' % reply)
+        with pytest.raises(GatewayError) as err:
+            ScriptedGateway.from_transcript(path)
+        assert "line 2" in str(err.value)
+
+
+def test_scripted_reply_must_be_text():
+    for reply in ([], 5, ["a", None]):
+        with pytest.raises(GatewayError):
+            ScriptedGateway({"cot:q": reply})
+    assert ScriptedGateway({"s": ("a", "b")}).complete("x", CFG, stage="s").texts == ("a",)
+
+
+def test_empty_completion_is_a_gateway_error():
+    with pytest.raises(GatewayError):
+        Completion(texts=())
 
 
 def test_missing_transcript_file(tmp_path):

@@ -1,5 +1,8 @@
 import ast
+import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import t2s
@@ -37,3 +40,20 @@ def test_documented_and_benchmark_imports_are_public():
     assert readme_names and bench_names
     assert readme_names <= set(t2s.__all__)
     assert bench_names <= set(t2s.__all__)
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # A traced perfbench run patches each TARGETS row at owner.__dict__[attr]
+    # and stops with a KeyError on the first name its owner no longer holds.
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for owner_path, attr, _name, _sql_position in spans.TARGETS:
+        module_name, _, class_name = owner_path.partition(":")
+        owner = importlib.import_module(module_name)
+        if class_name:
+            owner = getattr(owner, class_name)
+        assert attr in owner.__dict__, f"{owner_path} has no {attr}"

@@ -14,7 +14,7 @@ from t2s.refine import (
     CorrectionResult,
     ErrorType,
     ExecutionOutcome,
-    Memo,
+    SqlSession,
     VoteCandidate,
     answer_key,
     build_correction_prompt,
@@ -22,7 +22,6 @@ from t2s.refine import (
     correct,
     execute_sql,
     is_empty_rows,
-    memoized,
     severity,
     vote,
     vote_detail,
@@ -347,7 +346,7 @@ def test_correct_repairs_schema_mismatch(clinical_db):
         "How many female patients?",
         bad,
         run_failing(clinical_db, bad),
-        clinical_db,
+        SqlSession(clinical_db),
         FewShotLibrary(),
         gw,
         stage_prefix="fix",
@@ -365,7 +364,7 @@ def test_correct_healthy_input_is_untouched(clinical_db):
         "How many?",
         good,
         run_failing(clinical_db, good),
-        clinical_db,
+        SqlSession(clinical_db),
         FewShotLibrary(),
         ScriptedGateway(),
     )
@@ -385,7 +384,7 @@ def test_correct_two_rounds(clinical_db):
         "How many?",
         bad,
         run_failing(clinical_db, bad),
-        clinical_db,
+        SqlSession(clinical_db),
         FewShotLibrary(),
         gw,
         stage_prefix="fix",
@@ -403,7 +402,7 @@ def test_correct_reverts_regression(clinical_db):
         "Which?",
         empty,
         run_failing(clinical_db, empty),
-        clinical_db,
+        SqlSession(clinical_db),
         FewShotLibrary(),
         gw,
         stage_prefix="fix",
@@ -421,7 +420,7 @@ def test_correct_sideways_move_is_accepted(clinical_db):
         "Which?",
         bad,
         run_failing(clinical_db, bad),
-        clinical_db,
+        SqlSession(clinical_db),
         FewShotLibrary(),
         gw,
         stage_prefix="fix",
@@ -438,7 +437,7 @@ def test_correct_unparseable_reply_stops(clinical_db):
         "How many?",
         bad,
         run_failing(clinical_db, bad),
-        clinical_db,
+        SqlSession(clinical_db),
         FewShotLibrary(),
         gw,
         stage_prefix="fix",
@@ -454,13 +453,28 @@ def test_correct_gateway_failure_flagged(clinical_db):
         "How many?",
         bad,
         run_failing(clinical_db, bad),
-        clinical_db,
+        SqlSession(clinical_db),
         FewShotLibrary(),
         ScriptedGateway(),  # strict and empty
         stage_prefix="fix",
     )
     assert "correction_gateway_failed" in result.flags
     assert result.sql == bad
+
+
+def test_correct_empty_completion_flagged(clinical_db, empty_gateway):
+    bad = "SELECT COUNT(*) FROM Nowhere"
+    result = correct(
+        "How many?",
+        bad,
+        run_failing(clinical_db, bad),
+        SqlSession(clinical_db),
+        FewShotLibrary(),
+        empty_gateway,
+        stage_prefix="fix",
+    )
+    assert result.flags == ["correction_gateway_failed"]
+    assert result.sql == bad and result.rounds == 0
 
 
 def test_correct_applies_alignment(clinical_db, clinical_catalog, clinical_index):
@@ -473,10 +487,9 @@ def test_correct_applies_alignment(clinical_db, clinical_catalog, clinical_index
         "How many female patients?",
         bad,
         run_failing(clinical_db, bad),
-        clinical_db,
+        SqlSession(clinical_db, ctx),
         FewShotLibrary(),
         gw,
-        align_ctx=ctx,
         stage_prefix="fix",
     )
     assert "= 'F'" in result.sql
@@ -488,25 +501,40 @@ def test_correction_result_is_dataclass():
     assert result.rounds == 0 and result.flags == [] and result.history == []
 
 
-def test_memoized_computes_once_across_threads():
+def test_session_shares_outcomes_and_times_in_place(clinical_db, clinical_catalog,
+                                                    clinical_index):
+    lower = "SELECT COUNT(*) FROM Patient WHERE SEX = 'f'"
+    unaligned = SqlSession(clinical_db).align(lower)
+    assert unaligned.sql_out == lower and not unaligned.changed and unaligned.flags == []
+    ctx = AlignmentContext(catalog=clinical_catalog, index=clinical_index)
+    session = SqlSession(clinical_db, ctx)
+    assert session.align(lower) is session.align(lower)
+    fixed = session.align(lower).sql_out
+    assert fixed == "SELECT COUNT(*) FROM Patient WHERE SEX = 'F'"
+    outcome = session.execute(fixed)
+    assert outcome.rows == ((3,),) and session.execute(fixed) is outcome
+    outcome.elapsed = -1.0
+    session.time(fixed, 3)
+    assert session.execute(fixed) is outcome and outcome.elapsed >= 0
+
+
+def test_session_executes_once_across_threads(monkeypatch):
     # More threads than cores and a short switch interval: without the
-    # memo's lock, several threads find the key missing and compute it.
-    memo = Memo()
+    # session's lock, several threads find the statement missing and run it.
     computed = []
 
-    def compute():
-        computed.append(None)
+    def slow_execute(db_path, sql, timeout_s):
+        computed.append(sql)
         time.sleep(0.001)
         return ExecutionOutcome(status="Rows")
 
-    def lookup(_):
-        return memoized(memo, ("execute", "SELECT 1"), compute)
-
+    monkeypatch.setattr(t2s.refine, "execute_sql", slow_execute)
+    session = SqlSession("unused.sqlite")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(8) as pool:
-            outcomes = list(pool.map(lookup, range(32)))
+            outcomes = list(pool.map(lambda _: session.execute("SELECT 1"), range(32)))
     finally:
         sys.setswitchinterval(interval)
     assert len(computed) == 1

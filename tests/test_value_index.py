@@ -157,6 +157,20 @@ def test_load_rejects_wrong_format(tmp_path):
             ValueIndex.load(path)
 
 
+def test_load_rejects_a_malformed_header(tmp_path, clinical_index):
+    path = tmp_path / "header.jsonl"
+    clinical_index.save(path)
+    header, *records = path.read_text().splitlines()
+    for bad in ([1, 2], "t2s-value-index", None):
+        path.write_text("\n".join([json.dumps(bad), *records]) + "\n")
+        with pytest.raises(IndexBuildError, match="not a value index file"):
+            ValueIndex.load(path)
+    for dim in ("abc", 0, -3, 2.5, True, None):
+        path.write_text("\n".join([json.dumps({**json.loads(header), "dim": dim}), *records]))
+        with pytest.raises(IndexBuildError, match="bad embedding dim"):
+            ValueIndex.load(path)
+
+
 def test_load_rejects_broken_line(tmp_path, clinical_index):
     path = tmp_path / "broken.jsonl"
     clinical_index.save(path)
