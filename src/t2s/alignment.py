@@ -189,13 +189,9 @@ def _same_column_value(
     stored single word can tie with the true cell there ('York' for
     'new york' when 'New York' is stored too).
     """
-    stored = ctx.index.stored_values(table, column)
-    if literal in stored:
-        return literal
-    folded = literal.casefold()
-    for text in stored:
-        if text.casefold() == folded:
-            return text
+    spelling = ctx.index.stored_spelling(table, column, literal)
+    if spelling is not None:
+        return spelling
     hits = ctx.index.search_values(literal, ctx.retrieval, restrict=(table, column))
     return hits[0].text if hits else None
 

@@ -62,7 +62,7 @@ def load_dataset(path: str | Path) -> list[Task]:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise BenchError(f"cannot parse dataset {path}: {exc}") from exc
     if not isinstance(data, list):
         raise BenchError(f"dataset {path} must be a JSON list")

@@ -415,8 +415,11 @@ class FewShotLibrary:
     @classmethod
     def load(cls, path: str | Path) -> "FewShotLibrary":
         shots: list[FewShot] = []
-        with open(path, encoding="utf-8") as handle:
-            lines = [(lineno, raw) for lineno, raw in enumerate(handle, start=1) if raw.strip()]
+        try:
+            with open(path, encoding="utf-8") as handle:
+                lines = [(lineno, raw) for lineno, raw in enumerate(handle, start=1) if raw.strip()]
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"few-shot file {path} is not UTF-8: {exc}") from exc
         if not lines:
             raise IngestError(f"empty few-shot file: {path}")
         try:

@@ -100,18 +100,22 @@ class ScriptedGateway:
     @classmethod
     def from_transcript(cls, path: str | Path, strict: bool = True) -> "ScriptedGateway":
         gateway = cls(strict=strict)
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    record = json.loads(raw)
-                    gateway.add(record["key"], record["reply"])
-                except (json.JSONDecodeError, KeyError, TypeError, GatewayError) as exc:
-                    raise GatewayError(
-                        f"bad transcript line {lineno} in {path}: {exc}"
-                    ) from exc
+        try:
+            with open(path, encoding="utf-8") as handle:
+                lines = list(enumerate(handle, start=1))
+        except UnicodeDecodeError as exc:
+            raise GatewayError(f"transcript {path} is not UTF-8: {exc}") from exc
+        for lineno, raw in lines:
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                record = json.loads(raw)
+                gateway.add(record["key"], record["reply"])
+            except (json.JSONDecodeError, KeyError, TypeError, GatewayError) as exc:
+                raise GatewayError(
+                    f"bad transcript line {lineno} in {path}: {exc}"
+                ) from exc
         return gateway
 
     def add(self, key: str, reply: str | list[str]) -> None:

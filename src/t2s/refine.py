@@ -4,6 +4,8 @@ A candidate is only as good as what it returns.  This module executes
 candidates read-only with a deadline, sorts failures into a small error
 taxonomy, asks the model for a repair with an error-specific
 demonstration, and finally picks the answer most candidates agree on.
+Each thread keeps one read-only connection to the database it last
+read, so SQLite's page cache stays warm from one query to the next.
 
 The correction loop is defensive by construction: the repaired SQL is
 re-aligned and re-executed, and if it lands in a strictly worse state
@@ -14,6 +16,7 @@ cannot fix a query must not be allowed to break it further.
 
 from __future__ import annotations
 
+import os
 import sqlite3
 import statistics
 import threading
@@ -37,6 +40,7 @@ from .fewshot import (
     split_marked_sections,
 )
 from .gateway import Gateway, LlmConfig
+from .schema import connect_read_only
 
 
 class ErrorType(str, Enum):
@@ -108,6 +112,13 @@ def execute_sql(
     rejected without touching the database, and the connection is
     opened read-only as a second line of defense.
 
+    The query runs on the calling thread's held connection, which is
+    reopened only when the thread reads another file, or a file that
+    replaced the one it held (a new `st_dev`/`st_ino` at the path).
+    Each query gets its own deadline, and no statement stays open after
+    it, so another process can write between two queries and the next
+    one sees the write.
+
     With `repeats` > 1 a query that returns rows is run again and the
     reported elapsed time is the median of the runs that returned rows.
     Status and rows are the first run's; a failed repeat ends the
@@ -130,34 +141,67 @@ def execute_sql(
     return outcome
 
 
-def _execute_once(db_path: str | Path, sql: str, timeout_s: float) -> ExecutionOutcome:
-    deadline = time.perf_counter() + timeout_s
-    start = time.perf_counter()
+class _HeldConnection(threading.local):
+    """One thread's read-only connection to the database file it last read."""
+
+    key: Optional[tuple] = None  # (absolute path, st_dev, st_ino)
+    conn: Optional[sqlite3.Connection] = None
+
+
+_held = _HeldConnection()
+
+
+def _connection(db_path: str | Path) -> sqlite3.Connection:
+    """This thread's held connection to `db_path`, reopened when the file changed.
+
+    The file is known by its path and its (st_dev, st_ino), so a database
+    replaced at the same path is opened afresh rather than read through
+    the handle of the file it replaced.  The old connection is closed
+    first: a thread holds at most one.
+    """
+    path = os.path.abspath(db_path)
     try:
-        conn = sqlite3.connect(f"file:{Path(db_path)}?mode=ro", uri=True)
+        info = os.stat(path)
+        key = (path, info.st_dev, info.st_ino)
+    except OSError:
+        key = None  # let SQLite report the missing file
+    if key is None or key != _held.key:
+        if _held.conn is not None:
+            _held.conn.close()
+            _held.key = _held.conn = None
+        _held.conn = connect_read_only(path)
+        _held.key = key
+    return _held.conn
+
+
+def _execute_once(db_path: str | Path, sql: str, timeout_s: float) -> ExecutionOutcome:
+    start = time.perf_counter()
+    deadline = start + timeout_s
+    try:
+        conn = _connection(db_path)
     except sqlite3.Error as exc:
         return ExecutionOutcome(status="Error", error_text=str(exc))
+    conn.set_progress_handler(lambda: 1 if time.perf_counter() > deadline else 0, 2000)
+    cursor = None
     try:
-        conn.set_progress_handler(
-            lambda: 1 if time.perf_counter() > deadline else 0, 2000
-        )
-        try:
-            cursor = conn.execute(sql)
-            rows = tuple(tuple(row) for row in cursor.fetchall())
-        except sqlite3.OperationalError as exc:
-            elapsed = time.perf_counter() - start
-            if "interrupted" in str(exc).lower() or time.perf_counter() > deadline:
-                return ExecutionOutcome(
-                    status="Timeout", error_text="Timeout", elapsed=elapsed
-                )
-            return ExecutionOutcome(status="Error", error_text=str(exc), elapsed=elapsed)
-        except sqlite3.Error as exc:
-            elapsed = time.perf_counter() - start
-            return ExecutionOutcome(status="Error", error_text=str(exc), elapsed=elapsed)
+        cursor = conn.execute(sql)
+        rows = tuple(tuple(row) for row in cursor.fetchall())
+    except sqlite3.OperationalError as exc:
         elapsed = time.perf_counter() - start
-        return ExecutionOutcome(status="Rows", rows=rows, elapsed=elapsed)
+        if "interrupted" in str(exc).lower() or time.perf_counter() > deadline:
+            return ExecutionOutcome(status="Timeout", error_text="Timeout", elapsed=elapsed)
+        return ExecutionOutcome(status="Error", error_text=str(exc), elapsed=elapsed)
+    except sqlite3.Error as exc:
+        elapsed = time.perf_counter() - start
+        return ExecutionOutcome(status="Error", error_text=str(exc), elapsed=elapsed)
     finally:
-        conn.close()
+        # The held connection keeps no statement open, so it holds no read
+        # lock between queries, and no deadline carries over to the next.
+        if cursor is not None:
+            cursor.close()
+        conn.set_progress_handler(None, 0)
+    elapsed = time.perf_counter() - start
+    return ExecutionOutcome(status="Rows", rows=rows, elapsed=elapsed)
 
 
 def is_empty_rows(rows: Sequence[Sequence]) -> bool:

@@ -52,6 +52,15 @@ def qualified_name(table: str, column: str) -> str:
     return f"{quote_identifier(table)}.{quote_identifier(column)}"
 
 
+def connect_read_only(db_path: str | Path) -> sqlite3.Connection:
+    """Open a database file read-only; it is never created.
+
+    The path is percent-encoded into the URI, so a `#`, `?` or `%` in it
+    names the file rather than ending the path or escaping a character.
+    """
+    return sqlite3.connect(Path(db_path).absolute().as_uri() + "?mode=ro", uri=True)
+
+
 @dataclass
 class ColumnDef:
     name: str
@@ -288,7 +297,7 @@ def ingest_schema(
         for csv_path in sorted(Path(description_dir).glob("*.csv")):
             descriptions[csv_path.stem.casefold()] = _read_description_csv(csv_path)
 
-    conn = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
+    conn = connect_read_only(db_path)
     try:
         cursor = conn.execute(
             "SELECT name FROM sqlite_master "

@@ -33,7 +33,7 @@ from .embedding import (
     EMBEDDING_DIM, Embedder, SparseRows, TrigramEmbedder, dense_parts, embed_parts,
 )
 from .errors import EmbeddingError, IndexBuildError
-from .schema import ColumnSelection, SchemaCatalog, quote_identifier
+from .schema import ColumnSelection, SchemaCatalog, connect_read_only, quote_identifier
 
 FORMAT_NAME = "t2s-value-index"
 FORMAT_VERSION = 2
@@ -101,6 +101,9 @@ def _word_ngrams(query: str) -> list[str]:
     return probes
 
 
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
 def _ranked(scores: np.ndarray, kept: np.ndarray, top_k: int) -> np.ndarray:
     """The kept rows by descending score, ties in row order, cut to top_k."""
     return kept[np.lexsort((kept, -scores[kept]))][: max(top_k, 0)]
@@ -128,10 +131,16 @@ class ValueIndex:
         self._column_store = SparseRows(parts, 2 * len(self._columns), self.dim)
         self.entries = self._cells + self._columns
         # Cell rows of each column, in row order.
-        self._by_column: dict[tuple[str, str], list[int]] = {}
+        by_column: dict[tuple[str, str], list[int]] = {}
         for row, entry in enumerate(self._cells):
             key = (entry.table.casefold(), entry.column.casefold())
-            self._by_column.setdefault(key, []).append(row)
+            by_column.setdefault(key, []).append(row)
+        self._by_column = {
+            key: np.array(rows, dtype=np.intp) for key, rows in by_column.items()
+        }
+        # Per column, case-folded text -> the column's texts in row order;
+        # built on a column's first lookup (see `stored_spelling`).
+        self._spellings: dict[tuple[str, str], dict[str, list[str]]] = {}
 
     def _embedded(self, records: list[Record], kind: str):
         """The entries of this kind whose text embeds, and their non-zeros."""
@@ -149,7 +158,7 @@ class ValueIndex:
         embedder: Optional[Embedder] = None,
     ) -> "ValueIndex":
         records: list[Record] = []
-        conn = sqlite3.connect(f"file:{Path(db_path)}?mode=ro", uri=True)
+        conn = connect_read_only(db_path)
         try:
             for table in catalog.tables:
                 for col in table.columns:
@@ -210,8 +219,7 @@ class ValueIndex:
         if restrict is None:
             kept = np.flatnonzero(scores >= config.threshold)
         else:
-            key = (restrict[0].casefold(), restrict[1].casefold())
-            rows = np.array(self._by_column.get(key, []), dtype=np.intp)
+            rows = self._column_rows(*restrict)
             kept = rows[scores[rows] >= config.threshold]
         return [
             ValueHit(entry=self._cells[i], similarity=float(scores[i]))
@@ -238,9 +246,29 @@ class ValueIndex:
         ]
         return ColumnSelection.of(catalog, pairs)
 
-    def stored_values(self, table: str, column: str) -> tuple[str, ...]:
-        rows = self._by_column.get((table.casefold(), column.casefold()), ())
-        return tuple(self._cells[i].text for i in rows)
+    def _column_rows(self, table: str, column: str) -> np.ndarray:
+        return self._by_column.get((table.casefold(), column.casefold()), _NO_ROWS)
+
+    def stored_spelling(self, table: str, column: str, literal: str) -> Optional[str]:
+        """The column's stored text for `literal`: itself if stored, else
+        the first case-blind match in row order, else None.
+
+        A column's lookup table is built the first time it is asked for,
+        so columns no query names cost nothing.
+        """
+        key = (table.casefold(), column.casefold())
+        spellings = self._spellings.get(key)
+        if spellings is None:
+            spellings = {}
+            for row in self._column_rows(table, column).tolist():
+                text = self._cells[row].text
+                spellings.setdefault(text.casefold(), []).append(text)
+            # Threads racing here build equal tables; the last one is kept.
+            self._spellings[key] = spellings
+        matches = spellings.get(literal.casefold())
+        if not matches:
+            return None
+        return literal if literal in matches else matches[0]
 
     def cell_count(self) -> int:
         return len(self._cells)
@@ -268,36 +296,39 @@ class ValueIndex:
     @classmethod
     def load(cls, path: str | Path, embedder: Optional[Embedder] = None) -> "ValueIndex":
         """Read a saved index and embed its entries as `build` does."""
-        with open(path, encoding="utf-8") as handle:
-            lines = ((lineno, raw) for lineno, raw in enumerate(handle, start=1) if raw.strip())
-            _, first = next(lines, (0, None))
-            if first is None:
-                raise IndexBuildError(f"empty index file: {path}")
-            try:
-                header = json.loads(first)
-            except json.JSONDecodeError as exc:
-                raise IndexBuildError(f"bad index header in {path}: {exc}") from exc
-            if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-                raise IndexBuildError(f"not a value index file: {path}")
-            if header.get("version") != FORMAT_VERSION:
-                raise IndexBuildError(
-                    f"unsupported index version {header.get('version')!r} in {path}; "
-                    f"re-run `t2s preprocess` to rebuild it"
-                )
-            dim = header.get("dim", EMBEDDING_DIM)
-            if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
-                raise IndexBuildError(f"bad embedding dim {dim!r} in {path}")
-            records: list[Record] = []
-            for lineno, raw in lines:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                lines = ((lineno, raw) for lineno, raw in enumerate(handle, start=1) if raw.strip())
+                _, first = next(lines, (0, None))
+                if first is None:
+                    raise IndexBuildError(f"empty index file: {path}")
                 try:
-                    record = json.loads(raw)
-                    fields = (record["kind"], record["text"], record["table"], record["column"])
-                    if not all(isinstance(field, str) for field in fields):
-                        raise TypeError("record fields must be strings")
-                    if fields[0] not in ("cell_value", "column_name"):
-                        raise ValueError(f"unknown record kind {fields[0]!r}")
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise IndexBuildError(f"bad index record at line {lineno}: {exc}") from exc
-                records.append(fields)
+                    header = json.loads(first)
+                except json.JSONDecodeError as exc:
+                    raise IndexBuildError(f"bad index header in {path}: {exc}") from exc
+                if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+                    raise IndexBuildError(f"not a value index file: {path}")
+                if header.get("version") != FORMAT_VERSION:
+                    raise IndexBuildError(
+                        f"unsupported index version {header.get('version')!r} in {path}; "
+                        f"re-run `t2s preprocess` to rebuild it"
+                    )
+                dim = header.get("dim", EMBEDDING_DIM)
+                if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
+                    raise IndexBuildError(f"bad embedding dim {dim!r} in {path}")
+                records: list[Record] = []
+                for lineno, raw in lines:
+                    try:
+                        record = json.loads(raw)
+                        fields = (record["kind"], record["text"], record["table"], record["column"])
+                        if not all(isinstance(field, str) for field in fields):
+                            raise TypeError("record fields must be strings")
+                        if fields[0] not in ("cell_value", "column_name"):
+                            raise ValueError(f"unknown record kind {fields[0]!r}")
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise IndexBuildError(f"bad index record at line {lineno}: {exc}") from exc
+                    records.append(fields)
+        except UnicodeDecodeError as exc:
+            raise IndexBuildError(f"index file {path} is not UTF-8: {exc}") from exc
         embedder = embedder or TrigramEmbedder(dim)
         return cls(header.get("db_id", ""), records, embedder)

@@ -79,6 +79,13 @@ def test_load_dataset_errors_name_the_entry(tmp_path):
         load_dataset(path)
 
 
+def test_load_dataset_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('[{"db_id": "x", "question": "Caf\u00e9?", "SQL": "SELECT 1"}]'.encode("latin-1"))
+    with pytest.raises(BenchError, match="cannot parse dataset"):
+        load_dataset(path)
+
+
 # -- EX -------------------------------------------------------------------
 
 

@@ -472,3 +472,13 @@ def test_load_rejects_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(IngestError):
         FewShotLibrary.load(path)
+
+
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(
+        b'{"format": "t2s-fewshot", "version": 1}\n'
+        b'{"type": "shot", "question": "Caf\xe9?", "sql": "SELECT 1"}\n'
+    )
+    with pytest.raises(IngestError, match="not UTF-8"):
+        FewShotLibrary.load(path)

@@ -130,6 +130,13 @@ def test_empty_completion_is_a_gateway_error():
         Completion(texts=())
 
 
+def test_transcript_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"key": "k", "reply": "r"}\n{"key": "k2", "reply": "caf\xe9"}\n')
+    with pytest.raises(GatewayError, match="not UTF-8"):
+        ScriptedGateway.from_transcript(path)
+
+
 def test_missing_transcript_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         ScriptedGateway.from_transcript(tmp_path / "absent.jsonl")

@@ -1,4 +1,8 @@
+import os
+import shutil
+import sqlite3
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -110,6 +114,115 @@ def test_execute_failed_repeat_keeps_first_rows(clinical_db, monkeypatch):
     assert out.rows == ((5,),)
     assert len(runs) == 2  # the failed repeat ends the repeats
     assert out.elapsed < 9.0  # and is left out of the median
+
+
+# -- the held connection ---------------------------------------------------
+
+# Enough VM steps for the progress handler to run, yet a few milliseconds.
+COUNT_TO_10K = (
+    "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c WHERE x < 10000) "
+    "SELECT COUNT(*) FROM c"
+)
+
+
+def _one_value_db(path, value):
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (v)")
+    conn.execute("INSERT INTO t VALUES (?)", (value,))
+    conn.commit()
+    conn.close()
+
+
+def test_execute_reads_a_file_replaced_at_the_same_path(tmp_path):
+    path = tmp_path / "db.sqlite"
+    _one_value_db(path, "old")
+    assert execute_sql(path, "SELECT v FROM t").rows == (("old",),)
+    _one_value_db(tmp_path / "new.sqlite", "new")
+    os.replace(tmp_path / "new.sqlite", path)
+    assert execute_sql(path, "SELECT v FROM t").rows == (("new",),)
+    os.remove(path)
+    assert execute_sql(path, "SELECT v FROM t").status == "Error"
+
+
+def test_execute_after_a_timeout_runs_with_its_own_deadline(clinical_db):
+    big = (
+        "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c) "
+        "SELECT COUNT(*) FROM c"
+    )
+    assert execute_sql(clinical_db, big, timeout_s=0.05).status == "Timeout"
+    out = execute_sql(clinical_db, COUNT_TO_10K)
+    assert (out.status, out.rows) == ("Rows", ((10000,),))
+
+
+def test_execute_from_many_threads_reads_the_right_file(tmp_path):
+    paths = []
+    for i in range(3):
+        paths.append(tmp_path / f"db{i}.sqlite")
+        _one_value_db(paths[-1], i)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            outcomes = list(pool.map(
+                lambda i: execute_sql(paths[i % 3], f"SELECT v, {i} FROM t"), range(96)
+            ))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [out.rows for out in outcomes] == [((i % 3, i),) for i in range(96)]
+
+
+def test_a_writer_commits_between_two_reads(clinical_db, tmp_path):
+    path = tmp_path / "db.sqlite"
+    shutil.copyfile(clinical_db, path)
+    assert execute_sql(path, "SELECT COUNT(*) FROM Patient").rows == ((5,),)
+    writer = sqlite3.connect(path, timeout=0.5)
+    try:
+        writer.execute("INSERT INTO Patient VALUES (6, 'M', '1990-01-01', '-')")
+        writer.commit()  # "database is locked" if a read left a lock behind
+    finally:
+        writer.close()
+    assert execute_sql(path, "SELECT COUNT(*) FROM Patient").rows == ((6,),)
+
+
+def test_a_thread_holds_at_most_one_connection(tmp_path, monkeypatch):
+    opened = {}  # thread ident -> the connections that thread opened
+    original = t2s.refine.connect_read_only
+
+    def still_open(conn):
+        try:
+            conn.execute("SELECT 1")
+        except sqlite3.ProgrammingError:
+            return False
+        return True
+
+    def reads(thread_no):
+        # Each thread reads files of its own, so no other thread's
+        # replacement makes it reopen one.
+        paths = [tmp_path / f"t{thread_no}-{i}.sqlite" for i in range(3)]
+        for i, path in enumerate(paths):
+            _one_value_db(path, i)
+        for step in range(6):
+            execute_sql(paths[step // 2 % 2], "SELECT v FROM t")
+        os.replace(paths[2], paths[0])
+        execute_sql(paths[0], "SELECT v FROM t")
+        states[thread_no] = [still_open(conn) for conn in opened[threading.get_ident()]]
+
+    def recording_connect(db_path):
+        conn = original(db_path)
+        opened.setdefault(threading.get_ident(), []).append(conn)
+        return conn
+
+    monkeypatch.setattr(t2s.refine, "connect_read_only", recording_connect)
+    states = {}
+    threads = [threading.Thread(target=reads, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    # A connection per switch of file (paths 0, 1, 0) and one for the
+    # replaced file; every one but the last is closed.
+    assert states == {i: [False, False, False, True] for i in range(4)}
 
 
 # -- classification -------------------------------------------------------

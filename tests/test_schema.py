@@ -1,21 +1,25 @@
+import os
+import shutil
 import sqlite3
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t2s import SchemaCatalog, ingest_schema
+from t2s import SchemaCatalog, ValueIndex, ingest_schema
 from t2s.errors import IngestError, SelectionError
 from t2s.schema import (
     ColumnDef,
     ColumnSelection,
     TableDef,
+    connect_read_only,
     expand_selection,
     qualified_name,
     quote_identifier,
     render_schema,
     _affinity,
 )
+from t2s.refine import execute_sql
 
 
 # -- type affinity --------------------------------------------------------
@@ -106,6 +110,32 @@ def test_round_trip_through_dict(clinical_catalog):
     clone = SchemaCatalog.from_dict(clinical_catalog.to_dict())
     assert clone.to_dict() == clinical_catalog.to_dict()
     assert [t.name for t in clone.tables] == [t.name for t in clinical_catalog.tables]
+
+
+@pytest.mark.parametrize("name", ["a#b.sqlite", "c?d.sqlite", "e%20f.sqlite", "g h.sqlite"])
+def test_every_reader_opens_the_named_file_read_only(clinical_db, tmp_path, name):
+    # A path spliced into a `file:` URI unescaped loses everything from a
+    # `#` or `?` on, and SQLite then opens (and creates) the shortened
+    # path read-write; a `%20` is decoded to a space and names no file.
+    folder = tmp_path / "dbs"
+    folder.mkdir()
+    path = folder / name
+    shutil.copyfile(clinical_db, path)
+    before = sorted(os.listdir(folder))
+    catalog = ingest_schema(path)
+    assert [t.name for t in catalog.tables] == ["Patient", "Laboratory"]
+    assert ValueIndex.build(path, catalog).cell_count() == 15
+    assert execute_sql(path, "SELECT COUNT(*) FROM Patient").rows == ((5,),)
+    conn = connect_read_only(path)
+    try:
+        assert conn.execute("SELECT COUNT(*) FROM Laboratory").fetchone() == (6,)
+        with pytest.raises(sqlite3.OperationalError, match="readonly"):
+            conn.execute("CREATE TABLE t (x)")
+    finally:
+        conn.close()
+    with pytest.raises(sqlite3.OperationalError):
+        connect_read_only(folder / ("missing" + name)).close()
+    assert sorted(os.listdir(folder)) == before
 
 
 def test_descriptions_from_csv(tmp_path):

@@ -97,11 +97,51 @@ def test_column_search_qualified_name(clinical_index, clinical_catalog):
     assert ("Laboratory", "Date") in sel
 
 
-def test_stored_values_and_has_value(clinical_index):
-    assert set(clinical_index.stored_values("Patient", "SEX")) == {"F", "M"}
-    assert "F" in clinical_index.stored_values("Patient", "SEX")
-    assert "f" not in clinical_index.stored_values("Patient", "SEX")  # case matters here
-    assert "X" not in clinical_index.stored_values("Patient", "SEX")
+def test_stored_spelling(clinical_index):
+    assert clinical_index.stored_spelling("Patient", "SEX", "F") == "F"
+    assert clinical_index.stored_spelling("Patient", "SEX", "f") == "F"
+    assert clinical_index.stored_spelling("Patient", "SEX", "X") is None
+    assert clinical_index.stored_spelling("patient", "sex", "m") == "M"
+    assert clinical_index.stored_spelling("Patient", "Nowhere", "F") is None
+
+
+def _scanned_spelling(index, table, column, literal):
+    """The linear scan `stored_spelling` replaced: exact, then case-blind."""
+    stored = [
+        e.text
+        for e in index.entries
+        if e.kind == "cell_value"
+        and (e.table.casefold(), e.column.casefold()) == (table.casefold(), column.casefold())
+    ]
+    if literal in stored:
+        return literal
+    return next((text for text in stored if text.casefold() == literal.casefold()), None)
+
+
+# Case variants of a few stems ("ß" folds to "ss"), so columns hold texts
+# that match case-blind, texts repeated in a column and texts other
+# columns hold too.
+_stems = st.sampled_from(["ab", "AB", "Ab", "ss", "SS", "ß", "a b", "é", "É", "x1"])
+_spelled = st.builds(
+    lambda stem, case: getattr(stem, case)(),
+    _stems,
+    st.sampled_from(["lower", "upper", "swapcase", "title", "strip"]),
+)
+_placed_cells = st.lists(
+    st.tuples(_spelled, st.sampled_from(["T", "t", "U"]), st.sampled_from(["c", "C", "d"])),
+    max_size=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=_placed_cells, literals=st.lists(_spelled, min_size=1, max_size=6))
+def test_stored_spelling_matches_the_linear_scan(cells, literals):
+    index = ValueIndex("db", [("cell_value", text, t, c) for text, t, c in cells])
+    for literal in literals + [text for text, _t, _c in cells[:4]]:
+        for table, column in (("T", "c"), ("t", "C"), ("U", "d"), ("T", "d"), ("V", "c")):
+            assert index.stored_spelling(table, column, literal) == (
+                _scanned_spelling(index, table, column, literal)
+            )
 
 
 def test_hits_outlive_their_index(clinical_db, clinical_catalog):
@@ -168,6 +208,17 @@ def test_load_rejects_a_malformed_header(tmp_path, clinical_index):
     for dim in ("abc", 0, -3, 2.5, True, None):
         path.write_text("\n".join([json.dumps({**json.loads(header), "dim": dim}), *records]))
         with pytest.raises(IndexBuildError, match="bad embedding dim"):
+            ValueIndex.load(path)
+
+
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path, clinical_index):
+    path = tmp_path / "latin1.jsonl"
+    clinical_index.save(path)
+    header, first = path.read_bytes().splitlines()[:2]
+    odd = b'{"kind": "cell_value", "text": "caf\xe9", "table": "Patient", "column": "SEX"}'
+    for data in (b"\xff\xfe" + header, header + b"\n" + first + b"\n" + odd):
+        path.write_bytes(data + b"\n")
+        with pytest.raises(IndexBuildError, match="not UTF-8"):
             ValueIndex.load(path)
 
 
