@@ -8,11 +8,17 @@ from aggregates instead of silently counting against the prediction.
 A task whose pipeline raises a `T2SError` is recorded with the error's
 class and scores EX 0; the rest of the run goes on.
 
-The efficiency score rewards a correct prediction by how its runtime
-compares to gold, in fixed tiers of the ratio gold_time/pred_time; an
-incorrect prediction scores zero.  Timings are medians over repeated
-runs because single SQLite timings are noisy.  The tier table is
-embedded in every report so numbers stay interpretable later.
+The efficiency score (R-VES) rewards a correct prediction by how its
+runtime compares to gold, in fixed tiers of the ratio gold_time/pred_time;
+an incorrect prediction scores zero.  Timings are medians over
+`rves_repeats` runs in all, because single SQLite timings are noisy.
+The tier table is embedded in every report so numbers stay
+interpretable later.
+
+`run_bench` scores each task through one `SqlSession`: EX compares the
+rows the pipeline returned with one gold run, and R-VES times the gold
+and the prediction through `SqlSession.time`.  A prediction identical
+to the gold shares the gold's outcome, so it scores the 1.0 tier.
 """
 
 from __future__ import annotations
@@ -20,12 +26,13 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import inf
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import BenchError, SqlSyntaxError, T2SError
 from .pipeline import ABLATION_FLAGS, Deps, PipelineConfig, PipelineResult, run_pipeline
-from .refine import answer_key, execute_sql
+from .refine import ExecutionOutcome, SqlSession, answer_key
 from .sql_ast import parse_select
 
 REPORT_FORMAT = "t2s-report"
@@ -57,7 +64,9 @@ def load_dataset(path: str | Path) -> list[Task]:
     """Read a task list; both benchmark spellings of the SQL key work.
 
     Accepts entries with `SQL` + `evidence` or with `query`; order is
-    preserved.  A malformed entry fails loudly with its index.
+    preserved.  A malformed entry, or one whose question, db_id or SQL
+    is not text, fails loudly with its index.  `question_id` may be a
+    number, as BIRD writes it.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -73,16 +82,16 @@ def load_dataset(path: str | Path) -> list[Task]:
         gold = entry.get("SQL") or entry.get("query")
         question = entry.get("question")
         db_id = entry.get("db_id")
-        if not gold or not question or not db_id:
+        if not all(isinstance(text, str) and text for text in (gold, question, db_id)):
             raise BenchError(
-                f"dataset entry {index} lacks question, db_id, or SQL/query"
+                f"dataset entry {index} lacks question, db_id, or SQL/query as text"
             )
         tasks.append(
             Task(
                 question_id=str(entry.get("question_id", index)),
-                db_id=str(db_id),
-                question=str(question),
-                gold_sql=str(gold),
+                db_id=db_id,
+                question=question,
+                gold_sql=gold,
                 evidence=str(entry.get("evidence") or ""),
                 difficulty=str(entry.get("difficulty") or "unknown"),
             )
@@ -109,24 +118,12 @@ class ExResult:
     pred_rows: int = 0
 
 
-def eval_ex(
-    db_path: str | Path,
-    pred_sql: str,
-    gold_sql: str,
-    timeout_s: float = 30.0,
-) -> ExResult:
-    """Execute both queries and compare their answers."""
-    gold = execute_sql(db_path, gold_sql, timeout_s=timeout_s)
+def _compare_answers(gold_sql: str, gold: ExecutionOutcome, pred: ExecutionOutcome) -> ExResult:
+    """Compare a prediction's outcome with the gold query's."""
     if gold.status != "Rows":
         return ExResult(match=False, gold_failed=True)
-    pred = execute_sql(db_path, pred_sql, timeout_s=timeout_s)
     if pred.status != "Rows":
-        return ExResult(
-            match=False,
-            gold_failed=False,
-            pred_status=pred.status,
-            gold_rows=len(gold.rows),
-        )
+        return ExResult(match=False, pred_status=pred.status, gold_rows=len(gold.rows))
     ordered = gold_has_order_by(gold_sql)
     match = answer_key(pred.rows, ordered=ordered) == answer_key(
         gold.rows, ordered=ordered
@@ -140,31 +137,22 @@ def eval_ex(
     )
 
 
+def eval_ex(
+    db_path: str | Path,
+    pred_sql: str,
+    gold_sql: str,
+    timeout_s: float = 30.0,
+) -> ExResult:
+    """Execute both queries and compare their answers."""
+    session = SqlSession(db_path, timeout_s=timeout_s)
+    return _compare_answers(gold_sql, session.execute(gold_sql), session.execute(pred_sql))
+
+
 def rves_reward(time_ratio: float) -> float:
     for minimum, reward in RVES_TIERS:
         if time_ratio >= minimum:
             return reward
     return RVES_TIERS[-1][1]
-
-
-def eval_rves(
-    db_path: str | Path,
-    pred_sql: str,
-    gold_sql: str,
-    ex_match: bool,
-    repeats: int = DEFAULT_RVES_REPEATS,
-    timeout_s: float = 30.0,
-) -> float:
-    """Timing-tiered reward; zero whenever the answer is wrong."""
-    if not ex_match:
-        return 0.0
-    gold = execute_sql(db_path, gold_sql, timeout_s=timeout_s, repeats=repeats)
-    pred = execute_sql(db_path, pred_sql, timeout_s=timeout_s, repeats=repeats)
-    if gold.status != "Rows" or pred.status != "Rows":
-        return 0.0
-    if pred.elapsed <= 0.0:
-        return RVES_TIERS[0][1]
-    return rves_reward(gold.elapsed / pred.elapsed)
 
 
 # -- full runs ------------------------------------------------------------
@@ -211,8 +199,10 @@ def run_bench(
 
     task_entries = []
     for task, (result, error) in zip(tasks, results):
-        db_path = deps_by_db[task.db_id].db_path
-        ex = eval_ex(db_path, result.sql, task.gold_sql, timeout_s=config.execution_timeout_s)
+        session = SqlSession(deps_by_db[task.db_id].db_path,
+                             timeout_s=config.execution_timeout_s)
+        ex = _compare_answers(task.gold_sql, session.execute(task.gold_sql),
+                              ExecutionOutcome(status=result.status, rows=result.rows))
         entry = {
             "question_id": task.question_id,
             "db_id": task.db_id,
@@ -229,14 +219,14 @@ def run_bench(
             "trace_stages": list(result.trace.keys()),
         }
         if with_rves:
-            entry["rves"] = eval_rves(
-                db_path,
-                result.sql,
-                task.gold_sql,
-                ex.match,
-                repeats=rves_repeats,
-                timeout_s=config.execution_timeout_s,
-            )
+            # Zero unless correct; an identical prediction shares the gold's timing.
+            entry["rves"] = 0.0
+            if ex.match:
+                gold = session.time(task.gold_sql, rves_repeats)
+                pred = session.time(result.sql, rves_repeats)
+                if pred.status == "Rows":
+                    ratio = gold.elapsed / pred.elapsed if pred.elapsed > 0 else inf
+                    entry["rves"] = rves_reward(ratio)
         task_entries.append(entry)
 
     scored = [e for e in task_entries if not e["gold_failed"]]

@@ -435,6 +435,8 @@ class FewShotLibrary:
                 record = json.loads(raw)
                 kind = record["type"]
                 if kind == "shot":
+                    if not (isinstance(record["question"], str) and isinstance(record["sql"], str)):
+                        raise TypeError("question and sql must be text")
                     cot_data = record.get("cot")
                     shots.append(
                         FewShot(

@@ -60,12 +60,6 @@ DEFAULT_RULES: tuple[str, ...] = (
 _JOIN_WORD = re.compile(r"\bJOIN\b", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
-    n_candidates: int = 21
-    temperature: float = 0.7
-
-
 @dataclass
 class CoTOutput:
     sql: str
@@ -202,16 +196,12 @@ class GenerationResult:
 def generate_candidates(
     gateway: Gateway,
     prompt: str,
-    config: Optional[GenerationConfig] = None,
     llm: Optional[LlmConfig] = None,
     stage: Optional[str] = None,
     use_cot: bool = True,
 ) -> GenerationResult:
-    """Sample n candidates and keep the parseable ones, in reply order."""
-    config = config or GenerationConfig()
-    llm = llm or LlmConfig()
-    llm = llm.with_(temperature=config.temperature, n_samples=config.n_candidates)
-    completion = gateway.complete(prompt, llm, stage=stage)
+    """Sample `llm.n_samples` candidates and keep the parseable ones, in reply order."""
+    completion = gateway.complete(prompt, llm or LlmConfig(), stage=stage)
     parser = parse_cot if use_cot else parse_plain_sql
     candidates: list[CoTOutput] = []
     failures = 0

@@ -28,7 +28,6 @@ from .extraction import ExtractionResult, run_extraction
 from .fewshot import FewShotLibrary, augment_cot, render_fewshots
 from .gateway import Gateway, LlmConfig
 from .generation import (
-    GenerationConfig,
     build_generation_prompt,
     format_value_line,
     generate_candidates,
@@ -251,11 +250,8 @@ def run_pipeline(
     generation = generate_candidates(
         deps.gateway,
         prompt,
-        GenerationConfig(
-            n_candidates=config.n_candidates,
-            temperature=config.generation_temperature,
-        ),
-        llm=config.base_llm(),
+        llm=config.base_llm().with_(temperature=config.generation_temperature,
+                                    n_samples=config.n_candidates),
         stage=f"cot:{tag}",
         use_cot=not config.no_cot,
     )

@@ -104,9 +104,8 @@ def execute_sql(
     db_path: str | Path,
     sql: str,
     timeout_s: float = DEFAULT_TIMEOUT_S,
-    repeats: int = 1,
 ) -> ExecutionOutcome:
-    """Run one read query with a wall-clock deadline.
+    """Run one read query once, with a wall-clock deadline.
 
     Only SELECT/WITH/VALUES statements are executed; anything else is
     rejected without touching the database, and the connection is
@@ -114,31 +113,17 @@ def execute_sql(
 
     The query runs on the calling thread's held connection, which is
     reopened only when the thread reads another file, or a file that
-    replaced the one it held (a new `st_dev`/`st_ino` at the path).
-    Each query gets its own deadline, and no statement stays open after
-    it, so another process can write between two queries and the next
-    one sees the write.
-
-    With `repeats` > 1 a query that returns rows is run again and the
-    reported elapsed time is the median of the runs that returned rows.
-    Status and rows are the first run's; a failed repeat ends the
-    repeats.  The vote's tie-break and the efficiency score read that
-    time, so the pipeline asks for repeats only for the tie-break.
+    replaced the one it held (a new `st_dev`/`st_ino`).  Each query gets
+    its own deadline, and no statement stays open after it, so another
+    process can write between two queries and the next one sees the
+    write.  `elapsed` times the query alone, not the opening of the
+    connection.  Runs with repeats go through `SqlSession.time`.
     """
     if _first_keyword(sql) not in _READ_KEYWORDS:
         return ExecutionOutcome(
             status="Error", error_text="only read queries are executed"
         )
-    outcome = _execute_once(db_path, sql, timeout_s)
-    if outcome.status == "Rows" and repeats > 1:
-        timings = [outcome.elapsed]
-        for _ in range(repeats - 1):
-            again = _execute_once(db_path, sql, timeout_s)
-            if again.status != "Rows":
-                break
-            timings.append(again.elapsed)
-        outcome.elapsed = statistics.median(timings)
-    return outcome
+    return _execute_once(db_path, sql, timeout_s)
 
 
 class _HeldConnection(threading.local):
@@ -175,12 +160,12 @@ def _connection(db_path: str | Path) -> sqlite3.Connection:
 
 
 def _execute_once(db_path: str | Path, sql: str, timeout_s: float) -> ExecutionOutcome:
-    start = time.perf_counter()
-    deadline = start + timeout_s
     try:
         conn = _connection(db_path)
     except sqlite3.Error as exc:
         return ExecutionOutcome(status="Error", error_text=str(exc))
+    start = time.perf_counter()
+    deadline = start + timeout_s
     conn.set_progress_handler(lambda: 1 if time.perf_counter() > deadline else 0, 2000)
     cursor = None
     try:
@@ -240,8 +225,6 @@ def severity(error: Optional[ErrorType]) -> int:
 
 
 def _canonical_cell(cell):
-    if isinstance(cell, bool):
-        return round(float(cell), 6)
     if isinstance(cell, (int, float)):
         return round(float(cell), 6)
     if isinstance(cell, str):
@@ -380,11 +363,12 @@ def build_correction_prompt(
 
 
 class SqlSession:
-    """One question's alignment and execution, once per distinct SQL.
+    """One question's alignment, execution and timing, once per distinct SQL.
 
-    One lock covers both, so correction chains on several threads share
-    every outcome and never run two at once.  Without an alignment
-    context (`no_alignments`) `align` returns the statement unchanged.
+    One lock covers all three, so correction chains on several threads
+    share every outcome and never run two statements at once.  Without
+    an alignment context (`no_alignments`) `align` returns the statement
+    unchanged.  `time` is the one place a statement runs more than once.
     """
 
     def __init__(self, db_path: str | Path, align_ctx: Optional[AlignmentContext] = None,
@@ -408,10 +392,27 @@ class SqlSession:
         return self._once(("execute", sql),
                           lambda: execute_sql(self.db_path, sql, self.timeout_s))
 
-    def time(self, sql: str, repeats: int) -> None:
-        """Set the shared outcome's `elapsed` to the median of `repeats` runs."""
+    def time(self, sql: str, repeats: int) -> ExecutionOutcome:
+        """The shared outcome, its `elapsed` the median of `repeats` runs.
+
+        The run `execute` made counts as the first.  A statement that
+        returns rows runs again until `repeats` runs or a failed one,
+        which ends the repeats and is left out of the median; status and
+        rows stay the first run's.  Each statement is timed once.
+        """
         outcome = self.execute(sql)
-        outcome.elapsed = execute_sql(self.db_path, sql, self.timeout_s, repeats=repeats).elapsed
+
+        def repeat() -> ExecutionOutcome:
+            timings = [outcome.elapsed]
+            while outcome.status == "Rows" and len(timings) < repeats:
+                again = execute_sql(self.db_path, sql, self.timeout_s)
+                if again.status != "Rows":
+                    break
+                timings.append(again.elapsed)
+            outcome.elapsed = statistics.median(timings)
+            return outcome
+
+        return self._once(("time", sql), repeat)
 
 
 @dataclass

@@ -158,7 +158,10 @@ class ValueIndex:
         embedder: Optional[Embedder] = None,
     ) -> "ValueIndex":
         records: list[Record] = []
-        conn = connect_read_only(db_path)
+        try:
+            conn = connect_read_only(db_path)
+        except sqlite3.Error as exc:
+            raise IndexBuildError(f"cannot open {db_path}: {exc}") from exc
         try:
             for table in catalog.tables:
                 for col in table.columns:

@@ -1,14 +1,16 @@
 import json
 import sqlite3
+from itertools import count
 
 import pytest
 
-from t2s import PipelineConfig, ScriptedGateway
+import t2s.bench
+import t2s.refine
+from t2s import Deps, PipelineConfig, ScriptedGateway, ingest_schema
 from t2s.bench import (
     RVES_TIERS,
     Task,
     eval_ex,
-    eval_rves,
     gold_has_order_by,
     load_dataset,
     run_bench,
@@ -76,6 +78,16 @@ def test_load_dataset_errors_name_the_entry(tmp_path):
 
     path.write_text("{broken")
     with pytest.raises(BenchError):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("key", ["question", "db_id", "SQL"])
+def test_load_dataset_rejects_a_field_that_is_not_text(tmp_path, key):
+    entry = {"question_id": 3, "question": "Q?", "db_id": "x", "SQL": "SELECT 1"}
+    entry[key] = 5
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps([entry]))
+    with pytest.raises(BenchError, match="entry 0"):
         load_dataset(path)
 
 
@@ -176,27 +188,89 @@ def test_rves_tier_table():
     assert rves_reward(0.1) == 0.25
 
 
-def test_eval_rves_zero_when_wrong(clinical_db):
-    assert eval_rves(clinical_db, "SELECT 1", "SELECT 2", ex_match=False) == 0.0
+def _bench_one(e2e, pred_sql, gold_sql, db_path=None, rves_repeats=3):
+    """The report entry of one task whose pipeline answers `pred_sql`."""
+    gateway = ScriptedGateway({"cot:t": f"#SQL: {pred_sql}"})
+    deps = e2e.make_deps(gateway)
+    if db_path is not None:
+        deps = Deps(catalog=ingest_schema(db_path), db_path=str(db_path), gateway=gateway)
+    config = e2e.config.with_(n_candidates=1, no_extraction=True, no_alignments=True,
+                              no_correction=True)
+    task = Task(question_id="t", db_id="db", question="How many?", gold_sql=gold_sql)
+    return run_bench([task], {"db": deps}, config, rves_repeats=rves_repeats)["tasks"][0]
 
 
-def test_eval_rves_rewards_correct_prediction(clinical_db):
-    sql = "SELECT COUNT(*) FROM Patient"
-    score = eval_rves(clinical_db, sql, sql, ex_match=True, repeats=3)
-    assert score in {1.25, 1.0, 0.75, 0.5, 0.25}
+def test_rves_zero_when_wrong(e2e):
+    entry = _bench_one(e2e, "SELECT 1", "SELECT 2")
+    assert entry["ex"] is False and entry["rves"] == 0.0
 
 
-def test_eval_rves_fast_prediction_beats_slow_gold(tmp_path):
+def test_rves_rewards_correct_prediction(e2e):
+    entry = _bench_one(e2e, "SELECT COUNT(ID) FROM Patient", "SELECT COUNT(*) FROM Patient")
+    assert entry["ex"] is True
+    assert entry["rves"] in {1.25, 1.0, 0.75, 0.5, 0.25}
+
+
+def test_rves_fast_prediction_beats_slow_gold(e2e, tmp_path):
     db = tmp_path / "wide.sqlite"
     with sqlite3.connect(db) as conn:
         conn.execute("CREATE TABLE n (x integer)")
         conn.executemany("INSERT INTO n VALUES (?)", [(i,) for i in range(400)])
+    conn.close()
     # A 400 x 400 cross join whose predicate no index can serve: about
     # 100x the work of the prediction, so the speed tier cannot flip.
     slow_gold = "SELECT COUNT(*) FROM n a, n b WHERE a.x + b.x = 399"
     fast_pred = "SELECT COUNT(*) FROM n"
-    score = eval_rves(db, fast_pred, slow_gold, ex_match=True, repeats=3)
-    assert score == 1.25
+    assert _bench_one(e2e, fast_pred, slow_gold, db_path=db)["rves"] == 1.25
+
+
+@pytest.fixture
+def scoring_runs(monkeypatch):
+    """The SQL of every run `run_bench` makes outside `run_pipeline`.  Each
+    run, wherever it is made, takes a second longer than the run before."""
+    runs = []
+    clock = count(1)
+    execute_once, run_pipeline = t2s.refine._execute_once, t2s.bench.run_pipeline
+    in_pipeline = []
+
+    def slower_each_run(db_path, sql, timeout_s):
+        if not in_pipeline:
+            runs.append(sql)
+        outcome = execute_once(db_path, sql, timeout_s)
+        outcome.elapsed = float(next(clock))
+        return outcome
+
+    def marked_pipeline(*args, **kwargs):
+        in_pipeline.append(True)
+        try:
+            return run_pipeline(*args, **kwargs)
+        finally:
+            in_pipeline.pop()
+
+    monkeypatch.setattr(t2s.refine, "_execute_once", slower_each_run)
+    monkeypatch.setattr(t2s.bench, "run_pipeline", marked_pipeline)
+    return runs
+
+
+def test_rves_identical_prediction_scores_the_even_tier(e2e, scoring_runs):
+    tasks = load_dataset(e2e.dataset_path)
+    report = run_bench(tasks, {"clinical": e2e.make_deps()}, e2e.config, rves_repeats=5)
+    same = [e for e, t in zip(report["tasks"], tasks) if e["sql"] == t.gold_sql]
+    assert len(same) == 8
+    # the prediction shares the gold's runs, so later runs cannot slow it
+    assert [e["rves"] for e in same] == [1.0] * 8
+
+
+def test_run_bench_scoring_runs_each_query_at_most_rves_repeats_times(e2e, scoring_runs):
+    tasks = load_dataset(e2e.dataset_path)
+    report = run_bench(tasks, {"clinical": e2e.make_deps()}, e2e.config, rves_repeats=5)
+    assert all(e["ex"] for e in report["tasks"])
+    # the gold 5 times; a prediction other than the gold 5 times more
+    expected = [5 if e["sql"] == t.gold_sql else 10 for e, t in zip(report["tasks"], tasks)]
+    assert len(scoring_runs) == sum(expected) == 60
+    scoring_runs.clear()
+    run_bench(tasks, {"clinical": e2e.make_deps()}, e2e.config, with_rves=False)
+    assert scoring_runs == [t.gold_sql for t in tasks]
 
 
 # -- full bench run -------------------------------------------------------

@@ -453,6 +453,16 @@ def test_load_reports_the_file_line_of_a_bad_record(tmp_path):
         FewShotLibrary.load(path)
 
 
+@pytest.mark.parametrize("key", ["question", "sql"])
+def test_load_rejects_a_shot_field_that_is_not_text(tmp_path, key):
+    shot = {"type": "shot", "question": "q", "sql": "SELECT 1"}
+    shot[key] = 5
+    path = tmp_path / "x.jsonl"
+    path.write_text('{"format": "t2s-fewshot", "version": 1}\n' + json.dumps(shot) + "\n")
+    with pytest.raises(IngestError, match=r"at line 2:"):
+        FewShotLibrary.load(path)
+
+
 def test_load_rejects_wrong_header(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text('{"format": "other", "version": 1, "dim": 0}\n')

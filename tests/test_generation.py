@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from t2s import ScriptedGateway
 from t2s.errors import CotParseError, GenerationError
+from t2s.gateway import LlmConfig
 from t2s.generation import (
     CoTOutput,
-    GenerationConfig,
     build_generation_prompt,
     format_value_line,
     generate_candidates,
@@ -199,7 +199,7 @@ def test_generate_keeps_parseable_in_order():
         {"cot:q": ["#SQL: SELECT 1", "no sql here", "#SQL: SELECT 2"]}
     )
     result = generate_candidates(
-        gw, "prompt", GenerationConfig(n_candidates=3), stage="cot:q"
+        gw, "prompt", LlmConfig(n_samples=3), stage="cot:q"
     )
     assert [c.sql for c in result.candidates] == ["SELECT 1", "SELECT 2"]
     assert result.parse_failures == 1
@@ -207,7 +207,7 @@ def test_generate_keeps_parseable_in_order():
 
 def test_generate_requests_n_samples_at_temperature():
     gw = ScriptedGateway({"cot:q": "#SQL: SELECT 1"})
-    generate_candidates(gw, "p", GenerationConfig(n_candidates=5, temperature=0.7), stage="cot:q")
+    generate_candidates(gw, "p", LlmConfig(n_samples=5, temperature=0.7), stage="cot:q")
     # the scripted gateway pads the single reply out to n
     assert len(gw.calls) == 1
 
@@ -215,12 +215,12 @@ def test_generate_requests_n_samples_at_temperature():
 def test_generate_raises_when_nothing_parses():
     gw = ScriptedGateway({"cot:q": ["nope", "still no"]})
     with pytest.raises(GenerationError):
-        generate_candidates(gw, "p", GenerationConfig(n_candidates=2), stage="cot:q")
+        generate_candidates(gw, "p", LlmConfig(n_samples=2), stage="cot:q")
 
 
 def test_generate_sql_only_mode():
     gw = ScriptedGateway({"cot:q": "SELECT 42"})
     result = generate_candidates(
-        gw, "p", GenerationConfig(n_candidates=1), stage="cot:q", use_cot=False
+        gw, "p", LlmConfig(n_samples=1), stage="cot:q", use_cot=False
     )
     assert result.candidates[0].sql == "SELECT 42"

@@ -1,5 +1,6 @@
 import json
 import threading
+from collections import Counter
 
 import pytest
 
@@ -181,14 +182,14 @@ FEMALE = "SELECT COUNT(*) FROM Patient WHERE SEX = 'F'"
 
 @pytest.fixture
 def sql_calls(monkeypatch):
-    """("align" | "execute", SQL, repeats) of every call through the module
-    globals that `run_pipeline` and `correct` align and execute with."""
+    """("align" | "execute", SQL) of every call through the module globals
+    that `run_pipeline` and `correct` align and execute with."""
     calls = []
 
     def counting(kind, original):
         def wrapper(*args, **kwargs):
             sql = args[0] if kind == "align" else args[1]
-            calls.append((kind, sql, kwargs.get("repeats", 1)))
+            calls.append((kind, sql))
             return original(*args, **kwargs)
 
         return wrapper
@@ -215,12 +216,11 @@ def test_pipeline_aligns_and_executes_each_distinct_sql_once(e2e, sql_calls):
     result = _run_samples(e2e, samples, repairs)
     assert [c.sql for c in result.candidates] == [FEMALE] * 5
     assert [c.correction_rounds for c in result.candidates] == [0, 0, 0, 1, 1]
-    assert [sql for kind, sql, _ in sql_calls if kind == "align"] == [FEMALE, lower, bad]
-    executed = [sql for kind, sql, _ in sql_calls if kind == "execute"]
+    assert [sql for kind, sql in sql_calls if kind == "align"] == [FEMALE, lower, bad]
+    executed = [sql for kind, sql in sql_calls if kind == "execute"]
+    # one distinct SQL in the winning group: no timing repeats
     assert len(executed) == 2
     assert executed[0] == FEMALE and "PatientID" in executed[1]
-    # one distinct SQL in the winning group: no timing repeats
-    assert all(repeats == 1 for _, _, repeats in sql_calls)
     assert result.winner_index == 0
     assert result.rows == ((3,),)
 
@@ -231,12 +231,11 @@ def test_pipeline_times_only_a_mixed_winning_group(e2e, sql_calls):
     result = _run_samples(e2e, [FEMALE, by_id, FEMALE, everyone])
     group = {result.candidates[i].sql for i in (0, 1, 2)}
     assert len(group) == 2
-    single = [sql for kind, sql, repeats in sql_calls if kind == "execute" and repeats == 1]
-    assert len(single) == 3  # FEMALE, by_id and everyone, once each
-    timed = [sql for kind, sql, repeats in sql_calls if repeats > 1]
-    assert sorted(timed) == sorted(group)
-    assert all(repeats == e2e.config.timing_repeats
-               for _, _, repeats in sql_calls if repeats > 1)
+    # each statement of the group runs `timing_repeats` times in all, its
+    # first run included; the statement outside it runs once
+    executed = Counter(sql for kind, sql in sql_calls if kind == "execute")
+    assert executed == {**dict.fromkeys(group, e2e.config.timing_repeats),
+                        result.candidates[3].sql: 1}
     assert result.winner_index in (0, 1)
     assert result.rows == ((3,),)
 

@@ -92,15 +92,31 @@ def test_execute_times_out(clinical_db):
     assert elapsed < 5
 
 
-def test_execute_median_timing(clinical_db):
-    out = execute_sql(clinical_db, "SELECT * FROM Laboratory", repeats=3)
-    assert out.status == "Rows"
-    assert len(out.rows) == 6
+def test_execute_median_timing(clinical_db, monkeypatch):
+    elapsed = iter([1.0, 9.0, 2.0])
+    runs = []
+    original = t2s.refine.execute_sql
+
+    def timed(db_path, sql, timeout_s):
+        runs.append(sql)
+        outcome = original(db_path, sql, timeout_s)
+        outcome.elapsed = next(elapsed)
+        return outcome
+
+    monkeypatch.setattr(t2s.refine, "execute_sql", timed)
+    session = SqlSession(clinical_db)
+    sql = "SELECT * FROM Laboratory"
+    out = session.time(sql, 3)
+    assert out is session.execute(sql)
+    assert out.status == "Rows" and len(out.rows) == 6
+    assert len(runs) == 3  # the first run is one of the three
+    assert out.elapsed == 2.0  # the median of 1, 9 and 2
+    assert session.time(sql, 3) is out and len(runs) == 3  # timed once
 
 
 def test_execute_failed_repeat_keeps_first_rows(clinical_db, monkeypatch):
     runs = []
-    original = t2s.refine._execute_once
+    original = t2s.refine.execute_sql
 
     def second_run_times_out(db_path, sql, timeout_s):
         runs.append(sql)
@@ -108,8 +124,8 @@ def test_execute_failed_repeat_keeps_first_rows(clinical_db, monkeypatch):
             return ExecutionOutcome(status="Timeout", error_text="Timeout", elapsed=9.0)
         return original(db_path, sql, timeout_s)
 
-    monkeypatch.setattr(t2s.refine, "_execute_once", second_run_times_out)
-    out = execute_sql(clinical_db, "SELECT COUNT(*) FROM Patient", repeats=3)
+    monkeypatch.setattr(t2s.refine, "execute_sql", second_run_times_out)
+    out = SqlSession(clinical_db).time("SELECT COUNT(*) FROM Patient", 3)
     assert out.status == "Rows"
     assert out.rows == ((5,),)
     assert len(runs) == 2  # the failed repeat ends the repeats
@@ -627,7 +643,7 @@ def test_session_shares_outcomes_and_times_in_place(clinical_db, clinical_catalo
     outcome = session.execute(fixed)
     assert outcome.rows == ((3,),) and session.execute(fixed) is outcome
     outcome.elapsed = -1.0
-    session.time(fixed, 3)
+    assert session.time(fixed, 3) is outcome
     assert session.execute(fixed) is outcome and outcome.elapsed >= 0
 
 

@@ -37,6 +37,12 @@ def test_build_indexes_text_columns_only(clinical_index):
     assert clinical_index.cell_count() == 15
 
 
+def test_build_on_a_missing_database_raises_and_creates_nothing(tmp_path, clinical_catalog):
+    with pytest.raises(IndexBuildError, match="cannot open"):
+        ValueIndex.build(tmp_path / "missing.sqlite", clinical_catalog)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_every_column_has_a_name_entry(clinical_index, clinical_catalog):
     names = {(e.table, e.column) for e in clinical_index.entries if e.kind == "column_name"}
     expected = {(t.name, c.name) for t in clinical_catalog.tables for c in t.columns}
