@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .bench import DEFAULT_RVES_REPEATS, load_dataset, run_bench
-from .errors import T2SError
+from .errors import IngestError, T2SError
 from .fewshot import FewShotLibrary
 from .gateway import HttpGateway, RecordingGateway, ScriptedGateway
 from .pipeline import (
@@ -100,8 +100,12 @@ def _load_deps(
     db_id: Optional[str] = None,
 ) -> Deps:
     if catalog_path:
-        with open(catalog_path, encoding="utf-8") as handle:
-            catalog = SchemaCatalog.from_dict(json.load(handle))
+        try:
+            with open(catalog_path, encoding="utf-8") as handle:
+                data = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise IngestError(f"cannot parse catalog {catalog_path}: {exc}") from exc
+        catalog = SchemaCatalog.from_dict(data)
     else:
         catalog = ingest_schema(db_path, db_id=db_id, description_dir=descriptions)
     if index_path:

@@ -12,13 +12,17 @@ method can stand in for the default, e.g. a client for a hosted embedding
 model.  `SparseRows` stores such vectors for value search and few-shot
 selection; `embed_parts` fills it from many texts, the default embedder's
 in one vectorised trigram pass per block of texts, with no dense vectors.
+A search's probes come from `probe_nonzeros`, which works each distinct
+text out once per `ProbeTable`, the default embedder's in plain Python.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import zlib
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from itertools import chain
+from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -34,6 +38,8 @@ _BLOCK = 256
 _KEY = 0x110000  # past the last code point: (c0*K + c1)*K + c2 keys a trigram
 Part = tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, dims, values of non-zeros
 _EMPTY: Part = (np.empty(0, np.int32), np.empty(0, np.uint8), np.empty(0))
+Probe = tuple[Sequence[int], Sequence[float]]  # sorted non-zero dimensions, their values
+ProbeTable = dict[str, Optional[Probe]]  # text -> its non-zeros; None: does not embed
 
 
 @runtime_checkable
@@ -141,6 +147,41 @@ def embed_parts(embedder: Embedder, texts: Sequence[str]) -> tuple[list[Part], l
     return parts, kept
 
 
+def _probe(embedder: Embedder, text: str) -> Optional[Probe]:
+    """A text's non-zeros; a `TrigramEmbedder`'s from its trigram counts."""
+    try:
+        if not isinstance(embedder, TrigramEmbedder):
+            vector = embedder.embed(text)
+            dims = np.flatnonzero(vector)
+            return dims, vector[dims]
+        padded = _padded(text)
+    except EmbeddingError:
+        return None
+    counts: dict[int, int] = {}
+    for i in range(len(padded) - 2):
+        d = zlib.crc32(padded[i : i + 3].encode("utf-8")) % embedder.dim
+        counts[d] = counts.get(d, 0) + 1
+    dims = sorted(counts)
+    # A sum of squared integer counts is exact, so this is `embed`'s norm.
+    norm = math.sqrt(sum(count * count for count in counts.values()))
+    return dims, [counts[d] / norm for d in dims]
+
+
+def probe_nonzeros(
+    embedder: Embedder, texts: Iterable[str], table: Optional[ProbeTable] = None
+) -> list[Probe]:
+    """The non-zeros of each text that embeds, equal to the bit to those of
+    `embed`; each distinct text is worked out once per table."""
+    table = {} if table is None else table
+    probes = []
+    for text in texts:
+        if text not in table:
+            table[text] = _probe(embedder, text)
+        if table[text] is not None:
+            probes.append(table[text])
+    return probes
+
+
 class SparseRows:
     """Row vectors stored by dimension: for each dimension, the rows with a
     non-zero value there, in row order, and those values.
@@ -157,20 +198,29 @@ class SparseRows:
         self.rows, self.values = rows[by_dim], values[by_dim]
 
     def max_scores(self, probes: np.ndarray) -> np.ndarray:
-        """Each row's highest dot product with any probe (a row of `probes`).
+        """Each row's highest dot product with any probe (a row of `probes`)."""
+        nonzero = [np.flatnonzero(probe) for probe in probes]
+        return self.best_scores([(dims, probe[dims]) for dims, probe in zip(nonzero, probes)])
+
+    def best_scores(self, probes: Sequence[Probe]) -> np.ndarray:
+        """Each row's highest dot product with any probe, given by its
+        sorted non-zero dimensions and their values.
 
         Only the rows that share a non-zero dimension with a probe are
         read; the rest score exactly 0.0 against it.  Each dot product is
         summed over dimensions in ascending order, so it equals, to the
         bit, the sum a plain loop over the dense vectors gives.
         """
-        which, dims = np.nonzero(probes != 0)
+        which = np.repeat(np.arange(len(probes)), [len(dims) for dims, _ in probes])
+        # As intp: `dims + 1` in a narrower type could wrap.
+        dims = np.array(list(chain.from_iterable(dims for dims, _ in probes)), dtype=np.intp)
+        values = np.array(list(chain.from_iterable(values for _, values in probes)))
         starts = self.starts[dims]
         lengths = self.starts[dims + 1] - starts
         ends = np.cumsum(lengths)
         # Every stored value of every (probe, dimension) pair, in that order.
         at = np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
         bins = self.rows[at] + np.repeat(which * self.n, lengths)
-        weights = self.values[at] * np.repeat(probes[which, dims], lengths)
+        weights = self.values[at] * np.repeat(values, lengths)
         scores = np.bincount(bins, weights, minlength=len(probes) * self.n)
         return scores.reshape(len(probes), self.n).max(axis=0)

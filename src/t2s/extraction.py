@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .embedding import ProbeTable
 from .errors import GatewayError
 from .fewshot import (
     MARK_COLUMNS,
@@ -112,19 +113,21 @@ def retrieve_values(
     index: ValueIndex,
     entities: Sequence[Entity],
     config: Optional[RetrievalConfig] = None,
+    probes: Optional[ProbeTable] = None,
 ) -> list[ValueHit]:
     """Search the index per entity and merge, best similarity first.
 
     The same stored cell found through two entities is kept once at its
     best score.  Scores equal to 12 decimals keep first-seen order.  The
     merged list is re-cut at top_k so downstream prompts see a bounded,
-    globally ranked set.
+    globally ranked set.  `probes` is shared by every search.
     """
     config = config or RetrievalConfig()
+    shared = {} if probes is None else {"probes": probes}
     best: dict[tuple[str, str, str], ValueHit] = {}
     order: list[tuple[str, str, str]] = []
     for entity in entities:
-        for hit in index.search_values(entity.text, config):
+        for hit in index.search_values(entity.text, config, **shared):
             key = (hit.table, hit.column, hit.text)
             if key not in best:
                 best[key] = hit
@@ -143,6 +146,7 @@ def filter_columns(
     entities: Sequence[Entity],
     columns_section: str,
     config: Optional[RetrievalConfig] = None,
+    probes: Optional[ProbeTable] = None,
 ) -> ColumnSelection:
     """Union of model-suggested and vector-retrieved columns.
 
@@ -165,7 +169,7 @@ def filter_columns(
     if index is not None:
         queries = [question] + [entity.text for entity in entities]
         for query in queries:
-            pairs.extend(index.search_columns(query, catalog, config).pairs())
+            pairs.extend(index.search_columns(query, catalog, config, probes).pairs())
     if not pairs:
         return ColumnSelection.full(catalog)
     return ColumnSelection.of(catalog, pairs)
@@ -232,8 +236,9 @@ def run_extraction(
             sections = {}
     result = ExtractionResult(reason=sections.get(MARK_REASON, ""))
     result.entities = extract_entities(question, sections.get(MARK_VALUES, ""))
+    probes: ProbeTable = {}  # this question's probe texts, each embedded once
     if retrieve and index is not None and result.entities:
-        result.value_hits = retrieve_values(index, result.entities, retrieval)
+        result.value_hits = retrieve_values(index, result.entities, retrieval, probes)
     if filter_cols:
         selection = filter_columns(
             catalog,
@@ -242,6 +247,7 @@ def run_extraction(
             result.entities,
             sections.get(MARK_COLUMNS, ""),
             retrieval,
+            probes,
         )
     else:
         selection = ColumnSelection.full(catalog)

@@ -102,7 +102,7 @@ class PipelineConfig:
         with open(path, encoding="utf-8") as handle:
             try:
                 data = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise IngestError(f"bad config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise IngestError(f"config file {path} must hold a JSON object")

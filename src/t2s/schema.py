@@ -82,13 +82,16 @@ class TableDef:
     primary_key: tuple[str, ...] = ()
     # (local column, "RemoteTable.remote_column")
     foreign_keys: tuple[tuple[str, str], ...] = ()
+    # Case-folded name -> the first column of that name.
+    _column_map: dict[str, ColumnDef] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._column_map = {}
+        for col in self.columns:
+            self._column_map.setdefault(col.name.casefold(), col)
 
     def column(self, name: str) -> Optional[ColumnDef]:
-        lowered = name.casefold()
-        for col in self.columns:
-            if col.name.casefold() == lowered:
-                return col
-        return None
+        return self._column_map.get(name.casefold())
 
 
 @dataclass
@@ -96,6 +99,13 @@ class SchemaCatalog:
     db_id: str
     tables: tuple[TableDef, ...]
     _table_map: dict[str, TableDef] = field(init=False, repr=False, compare=False)
+    # Case-folded column name -> its (table, column) pairs, in table order.
+    _bare_map: dict[str, list[tuple[str, str]]] = field(init=False, repr=False, compare=False)
+    # Case-folded (table, column) -> the far end of each foreign key from
+    # or to that column.
+    _fk_ends: dict[tuple[str, str], list[tuple[str, str]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self._table_map = {}
@@ -104,6 +114,7 @@ class SchemaCatalog:
             if key in self._table_map:
                 raise IngestError(f"duplicate table name {table.name!r}")
             self._table_map[key] = table
+        self._bare_map, self._fk_ends = {}, {}
         for table in self.tables:
             seen: set[str] = set()
             for col in table.columns:
@@ -113,6 +124,7 @@ class SchemaCatalog:
                         f"duplicate column {col.name!r} in table {table.name!r}"
                     )
                 seen.add(key)
+                self._bare_map.setdefault(key, []).append((table.name, col.name))
             for pk in table.primary_key:
                 if table.column(pk) is None:
                     raise IngestError(
@@ -129,6 +141,9 @@ class SchemaCatalog:
                     raise IngestError(
                         f"foreign key {table.name}.{local} references unknown {remote!r}"
                     )
+                near, far = (table.name, local), (target.name, target.column(rc).name)
+                for (t, c), other in ((near, far), (far, near)):
+                    self._fk_ends.setdefault((t.casefold(), c.casefold()), []).append(other)
 
     def resolve_table(self, name: str) -> Optional[TableDef]:
         return self._table_map.get(name.casefold())
@@ -144,13 +159,7 @@ class SchemaCatalog:
 
     def resolve_bare_column(self, column: str) -> list[tuple[str, str]]:
         """All (table, column) pairs whose column matches `column` by name."""
-        out = []
-        lowered = column.casefold()
-        for table in self.tables:
-            for col in table.columns:
-                if col.name.casefold() == lowered:
-                    out.append((table.name, col.name))
-        return out
+        return list(self._bare_map.get(column.casefold(), ()))
 
     def all_pairs(self) -> list[tuple[str, str]]:
         return [(t.name, c.name) for t in self.tables for c in t.columns]
@@ -200,7 +209,7 @@ class SchemaCatalog:
                 for t in data["tables"]
             )
             return cls(db_id=data["db_id"], tables=tables)
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise IngestError(f"malformed catalog dict: {exc}") from exc
 
 
@@ -365,43 +374,26 @@ def ingest_schema(
 def expand_selection(catalog: SchemaCatalog, selection: ColumnSelection) -> ColumnSelection:
     """Close a selection so keys and join endpoints are always present.
 
-    Repeats until stable: add each involved table's primary key, both ends
-    of any foreign key touching a selected column, and every same-named
-    column in other tables (shared key names are how benchmark schemas
-    express most joins).
+    Adds, for each member and then for each pair it adds: its table's
+    primary key, the far end of any foreign key touching it, and every
+    same-named column in other tables (shared key names are how benchmark
+    schemas express most joins).
     """
     members = set(selection.members)
-    changed = True
-    while changed:
-        changed = False
-        for table_name, column_name in list(members):
-            table = catalog.resolve_table(table_name)
-            if table is None:
-                continue
-            additions: list[tuple[str, str]] = []
-            for pk in table.primary_key:
-                col = table.column(pk)
-                if col is not None:
-                    additions.append((table.name, col.name))
-            for local, remote in table.foreign_keys:
-                if local.casefold() == column_name.casefold():
-                    rt, _, rc = remote.partition(".")
-                    resolved = catalog.resolve_column(rt, rc)
-                    if resolved is not None:
-                        additions.append((resolved[0].name, resolved[1].name))
-            for other in catalog.tables:
-                for local, remote in other.foreign_keys:
-                    rt, _, rc = remote.partition(".")
-                    if (
-                        rt.casefold() == table_name.casefold()
-                        and rc.casefold() == column_name.casefold()
-                    ):
-                        additions.append((other.name, local))
-            additions.extend(catalog.resolve_bare_column(column_name))
-            for pair in additions:
-                if pair not in members:
-                    members.add(pair)
-                    changed = True
+    pending = list(members)
+    while pending:
+        table_name, column_name = pending.pop()
+        table = catalog.resolve_table(table_name)
+        if table is None:
+            continue
+        folded = column_name.casefold()
+        additions = [(table.name, table.column(pk).name) for pk in table.primary_key]
+        additions += catalog._fk_ends.get((table.name.casefold(), folded), ())
+        additions += catalog._bare_map.get(folded, ())
+        for pair in additions:
+            if pair not in members:
+                members.add(pair)
+                pending.append(pair)
     return ColumnSelection(frozenset(members))
 
 

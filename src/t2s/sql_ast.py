@@ -18,6 +18,7 @@ words used as plain names (a table literally called "table") still parse.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -33,6 +34,8 @@ _CLAUSE_WORDS = {
     "AND", "OR", "NOT", "IN", "IS", "LIKE", "GLOB", "BETWEEN", "ESCAPE",
     "ASC", "DESC", "WHEN", "THEN", "ELSE", "END", "COLLATE",
 }
+
+_HEX_INTEGER = re.compile(r"0[xX][0-9a-fA-F]+")
 
 
 # -- tokens ---------------------------------------------------------------
@@ -78,6 +81,10 @@ def tokenize(sql: str) -> list[Token]:
                 raise SqlSyntaxError("unterminated [identifier]", position=i)
             tokens.append(Token("qident", sql[i + 1 : j], j + 1, quote="["))
             i = j + 1
+            continue
+        if ch == "0" and (hexed := _HEX_INTEGER.match(sql, i)):
+            tokens.append(Token("number", hexed.group(), i))
+            i = hexed.end()
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
             j = i
@@ -887,7 +894,10 @@ def _emit(node: Node) -> str:
     if isinstance(node, Unary):
         if node.op.upper() == "NOT":
             return f"NOT {_emit(node.operand)}"
-        return f"{node.op}{_emit(node.operand)}"
+        operand = _emit(node.operand)
+        # "- -a" glued would read "--a", which starts a comment.
+        gap = " " if operand.startswith(("-", "+")) else ""
+        return f"{node.op}{gap}{operand}"
     if isinstance(node, Paren):
         return f"({_emit(node.expr)})"
     if isinstance(node, InExpr):

@@ -30,9 +30,11 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .embedding import (
-    EMBEDDING_DIM, Embedder, SparseRows, TrigramEmbedder, dense_parts, embed_parts,
+    EMBEDDING_DIM, Embedder, ProbeTable, SparseRows, TrigramEmbedder, dense_parts, embed_parts,
+    probe_nonzeros,
 )
-from .errors import EmbeddingError, IndexBuildError
+# EmbeddingError stays importable from here, where callers import it.
+from .errors import EmbeddingError, IndexBuildError  # noqa: F401
 from .schema import ColumnSelection, SchemaCatalog, connect_read_only, quote_identifier
 
 FORMAT_NAME = "t2s-value-index"
@@ -193,32 +195,25 @@ class ValueIndex:
 
     # -- queries ----------------------------------------------------------
 
-    def _probe_vectors(self, query: str) -> list[np.ndarray]:
-        vectors = []
-        for probe in _word_ngrams(query):
-            try:
-                vectors.append(self.embedder.embed(probe))
-            except EmbeddingError:
-                continue
-        return vectors
-
     def search_values(
         self,
         query: str,
         config: Optional[RetrievalConfig] = None,
         restrict: Optional[tuple[str, str]] = None,
+        probes: Optional[ProbeTable] = None,
     ) -> list[ValueHit]:
         """Ranked stored-value hits for a query phrase.
 
         Each cell entry is scored by its best cosine against any word
         n-gram of the query.  Entries below the threshold are dropped
         before the top_k cut.  `restrict` limits hits to one column.
+        Searches that share `probes` embed each n-gram text once.
         """
         config = config or RetrievalConfig()
-        probes = self._probe_vectors(query)
-        if not probes or not self._cells:
+        nonzeros = probe_nonzeros(self.embedder, _word_ngrams(query), probes)
+        if not nonzeros or not self._cells:
             return []
-        scores = self._cell_store.max_scores(np.stack(probes))
+        scores = self._cell_store.best_scores(nonzeros)
         if restrict is None:
             kept = np.flatnonzero(scores >= config.threshold)
         else:
@@ -234,14 +229,15 @@ class ValueIndex:
         query: str,
         catalog: SchemaCatalog,
         config: Optional[RetrievalConfig] = None,
+        probes: Optional[ProbeTable] = None,
     ) -> ColumnSelection:
         """Columns whose bare or qualified name resembles the query."""
         config = config or RetrievalConfig()
-        probes = self._probe_vectors(query)
-        if not probes or not self._columns:
+        nonzeros = probe_nonzeros(self.embedder, _word_ngrams(query), probes)
+        if not nonzeros or not self._columns:
             return ColumnSelection(frozenset())
         # Each column scores by the better of its bare and qualified rows.
-        scores = self._column_store.max_scores(np.stack(probes)).reshape(2, -1).max(axis=0)
+        scores = self._column_store.best_scores(nonzeros).reshape(2, -1).max(axis=0)
         kept = np.flatnonzero(scores >= config.threshold)
         pairs = [
             (self._columns[i].table, self._columns[i].column)

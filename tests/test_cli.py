@@ -298,3 +298,23 @@ def test_config_flag_help_unchanged():
         if action.option_strings and action.option_strings[0] in CONFIG_FLAG_HELP
     }
     assert shown == CONFIG_FLAG_HELP
+
+
+CATALOG_COLUMN_NOT_TEXT = {"db_id": "x", "tables": [{"name": "t", "columns": [{"name": 5}]}]}
+
+
+@pytest.mark.parametrize("flag,content", [
+    ("--catalog", b'{"db_id": "x", "tables": ['),
+    ("--catalog", b"\xff\xfe not UTF-8"),
+    ("--catalog", json.dumps(CATALOG_COLUMN_NOT_TEXT).encode()),
+    ("--config", b"\xff\xfe not UTF-8"),
+], ids=["catalog-truncated", "catalog-not-utf8", "catalog-name-not-text", "config-not-utf8"])
+def test_unreadable_catalog_or_config_exits_1(e2e, tmp_path, capsys, flag, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    transcript = tmp_path / "empty.jsonl"
+    transcript.write_text("")
+    code = main(["run", "--db", str(e2e.db_path), "--question", "Q?",
+                 "--transcript", str(transcript), flag, str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")

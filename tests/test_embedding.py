@@ -1,4 +1,5 @@
 import math
+import string
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from t2s import TrigramEmbedder
 from t2s.embedding import (
-    _NOT_ALNUM, EMBEDDING_DIM, SparseRows, cosine, dense_parts, unit_normalize,
+    _NOT_ALNUM, EMBEDDING_DIM, SparseRows, cosine, dense_parts, probe_nonzeros, unit_normalize,
 )
 from t2s.errors import EmbeddingError
 
@@ -132,3 +133,46 @@ def test_sparse_rows_scores_as_dense_loop(n):
         want.append(max(sums))
     assert store.n == n
     assert store.max_scores(probes).tolist() == want
+
+
+_probe_texts = st.one_of(
+    st.text(max_size=30),  # any code points, the empty text included
+    st.text(alphabet=string.punctuation + " \t", max_size=8),
+    st.text(min_size=300, max_size=600),
+    st.sampled_from(["ß", "İstanbul", "ﬁle", "日本語", "ＡＢＣ", "Ig A", "   "]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_probe_texts, max_size=4), st.sampled_from([1, 7, 256, 512]))
+def test_probe_nonzeros_equal_those_of_embed_bit_for_bit(texts, dim):
+    embedder = TrigramEmbedder(dim)
+    table = {}
+    # Every text twice: the second time it is read from the table.
+    got = probe_nonzeros(embedder, texts + texts, table)
+    want = []
+    for text in texts + texts:
+        try:
+            vector = embedder.embed(text)
+        except EmbeddingError:
+            continue
+        (dims,) = np.nonzero(vector)
+        want.append((dims, vector[dims]))
+    assert len(got) == len(want)
+    for (got_dims, got_values), (dims, values) in zip(got, want):
+        assert list(got_dims) == dims.tolist()
+        assert np.array(got_values).tobytes() == values.tobytes()
+    assert set(table) == set(texts)
+
+
+def test_sparse_probes_score_as_dense_ones_at_the_last_dimension():
+    # Dimension 255 is the last a uint8 holds: the kernel must not wrap.
+    rng = np.random.default_rng(5)
+    dense = rng.random((30, 256)) * (rng.random((30, 256)) < 0.2)
+    dense[:, 255] = rng.random(30)
+    store = SparseRows(dense_parts(dense, 256), 30, 256)
+    probe = np.zeros(256)
+    probe[[0, 17, 255]] = (0.5, 0.25, 1.0)
+    dims = np.array([0, 17, 255], dtype=np.uint8)
+    got = store.best_scores([(dims, probe[dims])])
+    assert got.tolist() == store.max_scores(probe[np.newaxis]).tolist()

@@ -1,6 +1,6 @@
 import pytest
 
-from t2s import ScriptedGateway
+from t2s import ScriptedGateway, embedding
 from t2s.extraction import (
     Entity,
     build_extraction_prompt,
@@ -11,7 +11,7 @@ from t2s.extraction import (
     run_extraction,
 )
 from t2s.schema import ColumnSelection
-from t2s.value_index import IndexedEntry, RetrievalConfig, ValueHit
+from t2s.value_index import IndexedEntry, RetrievalConfig, ValueHit, _word_ngrams
 
 
 # -- entity parsing -------------------------------------------------------
@@ -295,3 +295,23 @@ def test_run_extraction_stage_toggles(clinical_catalog, clinical_index):
 def test_extraction_prompt_appends_evidence():
     prompt = build_extraction_prompt("Q?", "schema", evidence="hint here")
     assert "/* Answer the following:Q? hint here */" in prompt
+
+
+def test_run_extraction_embeds_each_probe_text_once(clinical_catalog, clinical_index,
+                                                     monkeypatch):
+    # Both entities' n-grams feed value search and then column search.
+    reply = REPLY.replace("#values: F", "#values: F, female sex")
+    embedded = []
+    original = embedding._probe
+
+    def counting(embedder, text):
+        embedded.append(text)
+        return original(embedder, text)
+
+    monkeypatch.setattr(embedding, "_probe", counting)
+    question = "How many female patients are there?"
+    result = run_extraction(question, clinical_catalog, clinical_index,
+                            ScriptedGateway({"extraction:q": reply}), stage="extraction:q")
+    assert [e.text for e in result.entities] == ["F", "female sex"]
+    assert sorted(embedded) == sorted(
+        {probe for text in (question, "F", "female sex") for probe in _word_ngrams(text)})

@@ -35,6 +35,7 @@ change that does so.
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -216,6 +217,9 @@ def _many_candidates_records(tmp_path, monkeypatch, last_vote, gateway_type):
 
 
 def test_golden_many_candidates(tmp_path, monkeypatch, last_vote):
+    # The sequential path, however long the scripted generation call takes:
+    # on the pool the chains would call the model in another order.
+    monkeypatch.setattr(t2s.pipeline, "SLOW_MODEL_CALL_S", math.inf)
     records = _many_candidates_records(tmp_path, monkeypatch, last_vote, ScriptedGateway)
     _check("many_candidates", records)
 

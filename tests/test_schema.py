@@ -261,6 +261,133 @@ def test_expansion_monotone_and_idempotent(clinical_catalog, pairs):
     assert set(again.pairs()) == set(expanded.pairs())
 
 
+def _scan_column(table, name):
+    """`TableDef.column` as a linear scan: the first column of that name."""
+    return next((c for c in table.columns if c.name.casefold() == name.casefold()), None)
+
+
+def _scan_bare(catalog, name):
+    """`resolve_bare_column` as a linear scan."""
+    return [
+        (t.name, c.name)
+        for t in catalog.tables
+        for c in t.columns
+        if c.name.casefold() == name.casefold()
+    ]
+
+
+def _fixpoint_expansion(catalog, selection):
+    """`expand_selection` as a fixpoint: every member's additions are worked
+    out again on each pass, until a pass adds nothing."""
+    members = set(selection.members)
+    changed = True
+    while changed:
+        changed = False
+        for table_name, column_name in list(members):
+            table = catalog.resolve_table(table_name)
+            if table is None:
+                continue
+            additions = []
+            for pk in table.primary_key:
+                col = _scan_column(table, pk)
+                if col is not None:
+                    additions.append((table.name, col.name))
+            for local, remote in table.foreign_keys:
+                if local.casefold() == column_name.casefold():
+                    rt, _, rc = remote.partition(".")
+                    target = catalog.resolve_table(rt)
+                    col = _scan_column(target, rc)
+                    additions.append((target.name, col.name))
+            for other in catalog.tables:
+                for local, remote in other.foreign_keys:
+                    rt, _, rc = remote.partition(".")
+                    if (rt.casefold(), rc.casefold()) == (
+                        table_name.casefold(), column_name.casefold()
+                    ):
+                        additions.append((other.name, local))
+            additions.extend(_scan_bare(catalog, column_name))
+            for pair in additions:
+                if pair not in members:
+                    members.add(pair)
+                    changed = True
+    return ColumnSelection(frozenset(members))
+
+
+_NAMES = ["id", "ID", "name", "Name", "code", "ref", "x"]
+
+
+def _spelled(draw, name):
+    return draw(st.sampled_from([name, name.upper(), name.lower()]))
+
+
+@st.composite
+def _chained_catalogs(draw):
+    """Tables whose foreign keys chain each to an earlier one, with shared
+    and case-varied names."""
+    tables = []
+    for i in range(draw(st.integers(1, 5))):
+        names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4,
+                              unique_by=str.casefold))
+        keys = draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
+        foreign_keys = []
+        for target in draw(st.lists(st.sampled_from(tables), max_size=2)) if tables else ():
+            remote = draw(st.sampled_from(target.columns)).name
+            foreign_keys.append((
+                _spelled(draw, draw(st.sampled_from(names))),
+                f"{_spelled(draw, target.name)}.{_spelled(draw, remote)}",
+            ))
+        if tables and draw(st.booleans()):  # the chain: each table to the one before
+            foreign_keys.append((names[0], f"{tables[-1].name}.{tables[-1].columns[0].name}"))
+        tables.append(TableDef(
+            name=f"T{i}" if i % 2 else f"t{i}",
+            columns=tuple(ColumnDef(name=name) for name in names),
+            primary_key=tuple(_spelled(draw, key) for key in keys),
+            foreign_keys=tuple(foreign_keys),
+        ))
+    return SchemaCatalog(db_id="chained", tables=tuple(tables))
+
+
+@st.composite
+def _catalog_and_selection(draw, catalogs):
+    catalog = draw(catalogs)
+    pairs = catalog.all_pairs() + [("nope", "id")]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=4))
+    # Members spelled in another case, as a foreign key may spell them.
+    return catalog, ColumnSelection(frozenset(
+        (_spelled(draw, t), _spelled(draw, c)) for t, c in chosen
+    ))
+
+
+def test_table_column_keeps_the_first_match_as_the_scan_does():
+    table = TableDef(name="t", columns=(ColumnDef(name="a"), ColumnDef(name="A")))
+    assert table.column("A") is table.columns[0] is _scan_column(table, "A")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_catalog_and_selection(_chained_catalogs()), st.sampled_from(_NAMES + ["ID ", "nope"]))
+def test_name_maps_equal_the_linear_scans(drawn, name):
+    catalog, _ = drawn
+    assert catalog.resolve_bare_column(name) == _scan_bare(catalog, name)
+    for table in catalog.tables:
+        assert table.column(name) is _scan_column(table, name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_catalog_and_selection(_chained_catalogs()))
+def test_expansion_equals_the_fixpoint_on_chained_keys(drawn):
+    catalog, selection = drawn
+    assert expand_selection(catalog, selection) == _fixpoint_expansion(catalog, selection)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_expansion_equals_the_fixpoint_on_the_clinical_catalog(clinical_catalog, data):
+    catalogs = st.just(clinical_catalog)
+    catalog, selection = data.draw(_catalog_and_selection(catalogs))
+    assert expand_selection(catalog, selection) == _fixpoint_expansion(catalog, selection)
+    assert clinical_catalog.resolve_bare_column("id") == _scan_bare(clinical_catalog, "id")
+
+
 # -- rendering ------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import copy
+import sqlite3
 from dataclasses import fields
 
 import pytest
@@ -154,6 +155,28 @@ def test_parse_errors_carry_position():
 
 def test_semicolon_tolerated():
     assert canonical("SELECT 1;") == "SELECT 1"
+
+
+def _sqlite_rows(sql):
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute("CREATE TABLE t (a)")
+        conn.execute("INSERT INTO t VALUES (3)")
+        return conn.execute(sql).fetchall()
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("sql,want", [
+    # Glued, the two signs would read "--", which starts a comment.
+    ("SELECT - - a FROM t", [(3,)]),
+    ("SELECT -5 FROM t", [(-5,)]),
+    # Read as 0 with the alias x10, the statement would return 0.
+    ("SELECT 0x10 FROM t", [(16,)]),
+])
+def test_emit_keeps_sqlites_answer(sql, want):
+    assert _sqlite_rows(sql) == want
+    assert _sqlite_rows(canonical(sql)) == want
 
 
 # -- tree helpers ---------------------------------------------------------

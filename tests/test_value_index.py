@@ -503,3 +503,25 @@ def test_top_k_zero_returns_nothing(clinical_index, clinical_catalog):
     cfg = RetrievalConfig(threshold=0.0, top_k=0)
     assert clinical_index.search_values("F", cfg) == []
     assert clinical_index.search_columns("Date", clinical_catalog, cfg).pairs() == ()
+
+
+def test_a_shared_probe_table_changes_no_hit(clinical_index, clinical_catalog, stub_index):
+    stub, stub_catalog, words = stub_index
+    config = RetrievalConfig(threshold=0.3)
+    cases = (
+        (clinical_index, clinical_catalog, ["F", "female patients", "1991 05 06", "Ig A", "?"],
+         ("Patient", "First Date")),
+        (stub, stub_catalog, [words[0], f"{words[1]} {words[0]}", words[2].upper(), "zz"],
+         ("Person", "name")),
+    )
+    for index, catalog, queries, column in cases:
+        value_table, column_table = {}, {}
+        for query in queries + queries:
+            assert index.search_values(query, config, probes=value_table) == (
+                index.search_values(query, config))
+            assert index.search_values(query, config, column, value_table) == (
+                index.search_values(query, config, column))
+            assert index.search_columns(query, catalog, config, column_table) == (
+                index.search_columns(query, catalog, config))
+        probes = {probe for query in queries for probe in _word_ngrams(query)}
+        assert set(value_table) == set(column_table) == probes
