@@ -11,7 +11,8 @@ Any object with a ``dim`` attribute and an ``embed(text) -> np.ndarray``
 method can stand in for the default, e.g. a client for a hosted embedding
 model.  `SparseRows` stores such vectors for value search and few-shot
 selection; `embed_parts` fills it from many texts, the default embedder's
-in one vectorised trigram pass per block of texts, with no dense vectors.
+in one vectorised trigram pass per block of texts, with no dense vectors
+and each distinct trigram hashed once per call.
 A search's probes come from `probe_nonzeros`, which works each distinct
 text out once per `ProbeTable`, the default embedder's in plain Python.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 import zlib
+from functools import partial
 from itertools import chain
 from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
 
@@ -92,9 +94,10 @@ class TrigramEmbedder:
         return unit_normalize(counts)
 
 
-def _trigram_parts(padded: list[str], dim: int, first_row: int) -> list[Part]:
+def _trigram_parts(padded: list[str], dim: int, first_row: int, known: dict[int, int]) -> list[Part]:
     """The non-zeros of `TrigramEmbedder` vectors of padded texts, without
-    a dense vector: equal, to the bit, to `dense_parts` over `embed`."""
+    a dense vector: equal, to the bit, to `dense_parts` over `embed`.
+    `known` maps trigram keys to dimensions, and gains the keys it lacks."""
     joined = "".join(padded)
     codes = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
     lengths = np.array([len(text) for text in padded], dtype=np.intp)
@@ -103,9 +106,12 @@ def _trigram_parts(padded: list[str], dim: int, first_row: int) -> list[Part]:
     starts[np.subtract.outer(lengths.cumsum(), (1, 2))] = False
     at = np.flatnonzero(starts)
     keys = (codes[at] * _KEY + codes[at + 1]) * _KEY + codes[at + 2]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    grams = [joined[i : i + 3] for i in at[first].tolist()]
-    hashed = np.array([zlib.crc32(gram.encode("utf-8")) % dim for gram in grams], dtype=np.intp)
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    grams = unique.tolist()
+    for key, i in zip(grams, at[first].tolist()):
+        if key not in known:
+            known[key] = zlib.crc32(joined[i : i + 3].encode("utf-8")) % dim
+    hashed = np.array([known[key] for key in grams], dtype=np.intp)
     text_of = np.repeat(np.arange(len(padded)), lengths - 2)
     pairs, counts = np.unique(text_of * dim + hashed[inverse], return_counts=True)
     rows, dims = np.divmod(pairs, dim)
@@ -130,7 +136,8 @@ def dense_parts(vectors: Sequence[np.ndarray], dim: int, first_row: int = 0) -> 
 def embed_parts(embedder: Embedder, texts: Sequence[str]) -> tuple[list[Part], list[int]]:
     """The non-zeros of the texts that embed, a row each, and their indices."""
     if isinstance(embedder, TrigramEmbedder):
-        prepare, produce = _padded, _trigram_parts
+        # Each distinct trigram is hashed once per call, not once per block.
+        prepare, produce = _padded, partial(_trigram_parts, known={})
     else:
         prepare, produce = embedder.embed, dense_parts
     kept: list[int] = []

@@ -14,9 +14,11 @@ dimensions in ascending order, as a plain loop over the dense vectors
 sums it.  No approximate structure is involved, so results are
 reproducible and easy to check against a brute-force scan.
 
-The saved file holds the stored text only.  Vectors are a pure function
-of that text, so `load` re-embeds it through the same constructor that
-`build` uses, and a loaded index scores exactly as the built one does.
+The saved file holds the stored text only, one JSON line per run of
+consecutive entries that share a kind, table and column (format 3).
+Vectors are a pure function of that text, so `load` re-embeds it through
+the same constructor that `build` uses, and a loaded index scores exactly
+as the built one does.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from __future__ import annotations
 import json
 import sqlite3
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -38,13 +42,13 @@ from .errors import EmbeddingError, IndexBuildError  # noqa: F401
 from .schema import ColumnSelection, SchemaCatalog, connect_read_only, quote_identifier
 
 FORMAT_NAME = "t2s-value-index"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # Texts longer than this are embedded from their prefix only; the stored
 # text is kept in full so replacements stay faithful.
 MAX_EMBED_CHARS = 256
 
-# (kind, text, table, column): what the index file stores per entry.
+# (kind, text, table, column): one entry, as the constructor takes it.
 Record = tuple[str, str, str, str]
 
 
@@ -283,13 +287,13 @@ class ValueIndex:
                 "db_id": self.db_id,
             }
             handle.write(json.dumps(header) + "\n")
-            for entry in self.entries:
-                record = {
-                    "kind": entry.kind,
-                    "text": entry.text,
-                    "table": entry.table,
-                    "column": entry.column,
-                }
+            # Runs of consecutive entries, not whole columns: a load gives
+            # the entries back in their order even where columns interleave.
+            for (kind, table, column), run in groupby(
+                self.entries, attrgetter("kind", "table", "column")
+            ):
+                record = {"kind": kind, "table": table, "column": column,
+                          "texts": [entry.text for entry in run]}
                 handle.write(json.dumps(record) + "\n")
 
     @classmethod
@@ -303,7 +307,7 @@ class ValueIndex:
                     raise IndexBuildError(f"empty index file: {path}")
                 try:
                     header = json.loads(first)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     raise IndexBuildError(f"bad index header in {path}: {exc}") from exc
                 if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
                     raise IndexBuildError(f"not a value index file: {path}")
@@ -319,15 +323,21 @@ class ValueIndex:
                 for lineno, raw in lines:
                     try:
                         record = json.loads(raw)
-                        fields = (record["kind"], record["text"], record["table"], record["column"])
-                        if not all(isinstance(field, str) for field in fields):
-                            raise TypeError("record fields must be strings")
-                        if fields[0] not in ("cell_value", "column_name"):
-                            raise ValueError(f"unknown record kind {fields[0]!r}")
-                    except (KeyError, TypeError, ValueError) as exc:
+                        if not isinstance(record, dict):
+                            raise TypeError("a record must be a JSON object")
+                        kind, table, column, texts = (
+                            record["kind"], record["table"], record["column"], record["texts"]
+                        )
+                        if kind not in ("cell_value", "column_name"):
+                            raise ValueError(f"unknown record kind {kind!r}")
+                        if not (isinstance(table, str) and isinstance(column, str)
+                                and isinstance(texts, list)
+                                and all(isinstance(text, str) for text in texts)):
+                            raise TypeError("table and column must be text, texts a list of text")
+                    except (KeyError, TypeError, ValueError, RecursionError) as exc:
                         raise IndexBuildError(f"bad index record at line {lineno}: {exc}") from exc
-                    records.append(fields)
-        except UnicodeDecodeError as exc:
+                    records.extend((kind, text, table, column) for text in texts)
+            # A lone surrogate escape decodes, but is not text any encoder takes.
+            return cls(header.get("db_id", ""), records, embedder or TrigramEmbedder(dim))
+        except UnicodeError as exc:
             raise IndexBuildError(f"index file {path} is not UTF-8: {exc}") from exc
-        embedder = embedder or TrigramEmbedder(dim)
-        return cls(header.get("db_id", ""), records, embedder)

@@ -4,11 +4,12 @@ import random
 import sqlite3
 import weakref
 import zlib
+from itertools import groupby
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from t2s import TrigramEmbedder, ValueIndex, ingest_schema
@@ -186,20 +187,29 @@ def test_save_load_round_trip(clinical_index, clinical_catalog, tmp_path):
         np.array_equal(a.vector, b.vector)
         for a, b in zip(loaded.entries, clinical_index.entries)
     )
+    # One record per run of consecutive entries of one column, and the
+    # records' texts, in file order, are the entries.
     records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
-    assert len(records) == len(clinical_index.entries)
-    assert all(set(record) == {"kind", "text", "table", "column"} for record in records)
+    runs = [key for key, _ in groupby((e.kind, e.table, e.column) for e in clinical_index.entries)]
+    assert [(r["kind"], r["table"], r["column"]) for r in records] == runs
+    assert all(set(record) == {"kind", "table", "column", "texts"} for record in records)
+    assert [(r["kind"], text, r["table"], r["column"]) for r in records for text in r["texts"]] == [
+        (e.kind, e.text, e.table, e.column) for e in clinical_index.entries
+    ]
 
 
 def test_load_rejects_wrong_format(tmp_path):
     path = tmp_path / "bad.jsonl"
-    for header in (
-        {"format": "something-else", "version": 1},
-        # version 1 stored vectors; such a file is rebuilt, not read
-        {"format": "t2s-value-index", "version": 1, "dim": 512, "db_id": "x"},
-    ):
-        path.write_text(json.dumps(header) + "\n")
-        with pytest.raises(IndexBuildError):
+    path.write_text(json.dumps({"format": "something-else", "version": 1}) + "\n")
+    with pytest.raises(IndexBuildError, match="not a value index file"):
+        ValueIndex.load(path)
+    # Version 1 stored vectors and version 2 one record per entry; such a
+    # file is rebuilt, not read.
+    old = {"kind": "cell_value", "text": "F", "table": "Patient", "column": "SEX"}
+    for version in (1, 2):
+        header = {"format": "t2s-value-index", "version": version, "dim": 512, "db_id": "x"}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(old) + "\n")
+        with pytest.raises(IndexBuildError, match=r"re-run `t2s preprocess`"):
             ValueIndex.load(path)
 
 
@@ -221,7 +231,7 @@ def test_load_rejects_a_file_that_is_not_utf8(tmp_path, clinical_index):
     path = tmp_path / "latin1.jsonl"
     clinical_index.save(path)
     header, first = path.read_bytes().splitlines()[:2]
-    odd = b'{"kind": "cell_value", "text": "caf\xe9", "table": "Patient", "column": "SEX"}'
+    odd = b'{"kind": "cell_value", "table": "Patient", "column": "SEX", "texts": ["caf\xe9"]}'
     for data in (b"\xff\xfe" + header, header + b"\n" + first + b"\n" + odd):
         path.write_bytes(data + b"\n")
         with pytest.raises(IndexBuildError, match="not UTF-8"):
@@ -243,16 +253,19 @@ def test_load_reports_the_file_line_of_a_bad_record(tmp_path, clinical_index):
     path = tmp_path / "broken.jsonl"
     clinical_index.save(path)
     header, first = path.read_text().splitlines()[:2]
-    path.write_text(f"{header}\n{first}\n\n   \n{{not json\n")
-    with pytest.raises(IndexBuildError, match=r"at line 5:"):
-        ValueIndex.load(path)
+    # Broken JSON, and a version-2 record, which holds one text.
+    old = {"kind": "cell_value", "text": "F", "table": "Patient", "column": "SEX"}
+    for bad in ("{not json", json.dumps(old)):
+        path.write_text(f"{header}\n{first}\n\n   \n{bad}\n")
+        with pytest.raises(IndexBuildError, match=r"at line 5:"):
+            ValueIndex.load(path)
 
 
 def test_load_rejects_an_unknown_record_kind(tmp_path, clinical_index):
     path = tmp_path / "kind.jsonl"
     clinical_index.save(path)
     header, first = path.read_text().splitlines()[:2]
-    odd = {"kind": "row_count", "text": "15", "table": "Patient", "column": "SEX"}
+    odd = {"kind": "row_count", "table": "Patient", "column": "SEX", "texts": ["15"]}
     path.write_text(f"{header}\n{first}\n{json.dumps(odd)}\n")
     with pytest.raises(IndexBuildError, match=r"at line 3: unknown record kind 'row_count'"):
         ValueIndex.load(path)
@@ -331,6 +344,113 @@ def test_batch_store_equals_the_dense_store(cells, columns, block):
         batch = ValueIndex("db", records)
         dense = ValueIndex("db", records, _DenseTrigrams())
     _assert_same_index(batch, dense)
+
+
+# -- saved files ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def index_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("saved") / "index.jsonl"
+
+
+# (text, table, column, copies): copies of a cell are consecutive, so a
+# column's texts fill whole blocks and the blocks hold different trigrams.
+_placed = st.tuples(
+    _batch_texts, st.sampled_from(["T", "U"]), st.sampled_from(["c", "d"]), st.integers(1, 150)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells=st.lists(_placed, min_size=1, max_size=10), columns=st.lists(_placed, max_size=4))
+def test_a_loaded_index_stores_the_same_bytes(index_path, cells, columns):
+    # Columns interleave and repeat, so one column's texts are on more than
+    # one line, and repeating the draw spans several 256-text blocks.
+    records = [("cell_value", text, t, c) for text, t, c, n in cells for _ in range(n)]
+    records += [("column_name", text, t, text) for text, t, _, n in columns for _ in range(n)]
+    records *= 600 // len(records) + 1
+    index = ValueIndex("db", records)
+    index.save(index_path)
+    loaded = ValueIndex.load(index_path)
+    _assert_same_index(loaded, index)
+    _assert_same_index(loaded, ValueIndex("db", records, _DenseTrigrams()))
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=5,
+)
+_odd_text = st.text(max_size=6) | st.text(st.characters(categories=["Cs"]), min_size=1, max_size=2)
+_FIELDS = {
+    "kind": st.sampled_from(["cell_value", "column_name"]),
+    "table": _odd_text,
+    "column": _odd_text,
+    "texts": st.lists(_odd_text, max_size=4),
+}
+_WRONG = {
+    "kind": st.sampled_from(["row_count", "Cell_Value"]) | _json,
+    "table": _json,
+    "column": _json,
+    "texts": _json | st.lists(_json, min_size=1, max_size=3),
+}
+
+
+@st.composite
+def _records(draw):
+    """A format-3 record; half of them with one field of a wrong type or left out."""
+    record = {key: draw(value) for key, value in _FIELDS.items()}
+    key = draw(st.sampled_from([None] * 4 + list(_FIELDS)))
+    if key is not None and draw(st.booleans()):
+        del record[key]
+    elif key is not None:
+        record[key] = draw(_WRONG[key])
+    return record
+
+
+def _dumped(value):
+    return json.dumps(value).encode()
+
+
+# Headers of any version, with small dims only: arrays are sized by the dim.
+_headers = st.builds(
+    dict,
+    format=st.just("t2s-value-index"),
+    version=st.sampled_from([3, 3, 3, 2, 1, "3", None]),
+    dim=st.integers(1, 4096) | st.sampled_from([0, -1, 2.5, True, "64", None]),
+)
+_HEADER = _dumped({"format": "t2s-value-index", "version": 3, "dim": 64})
+_DEEP = b"[" * 100_000  # deeper than the JSON parser recurses
+_line = st.one_of(
+    st.binary(max_size=30),
+    st.sampled_from([_DEEP, b'{"texts": ' + _DEEP]),
+    (_json | _headers).map(_dumped),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    header=st.integers(1, 4096).map(
+        lambda dim: _dumped({"format": "t2s-value-index", "version": 3, "dim": dim})) | _line,
+    records=st.lists(_records().map(_dumped), max_size=3),
+    odd=st.none() | _line,
+    at=st.integers(0, 3),
+)
+@example(header=_DEEP, records=[], odd=None, at=0)
+@example(header=_HEADER, records=[], odd=b'{"kind": ' + _DEEP, at=0)
+@example(  # a lone surrogate: JSON text, but no encoder takes it
+    header=_HEADER,
+    records=[_dumped({"kind": "cell_value", "table": "T", "column": "c", "texts": ["\ud800"]})],
+    odd=None,
+    at=0,
+)
+def test_load_raises_only_index_build_error(index_path, header, records, odd, at):
+    lines = records[:at] + ([] if odd is None else [odd]) + records[at:]
+    index_path.write_bytes(b"\n".join([header, *lines]))
+    try:
+        ValueIndex.load(index_path)
+    except IndexBuildError:
+        pass
 
 
 # -- brute-force agreement ------------------------------------------------
