@@ -383,7 +383,7 @@ def _drop_redundant_joins(select: Select, catalog: SchemaCatalog) -> list[str]:
                 if col is None or not col.not_null:
                     continue
             prefix = join.source.alias or join.source.name
-            if _table_referenced_elsewhere(select, join, prefix, removed, scope):
+            if _table_referenced_elsewhere(select, join, prefix, removed):
                 continue
             select.joins.remove(join)
             flags.append(f"redundant_join_removed:{removed.name}")
@@ -397,10 +397,8 @@ def _table_referenced_elsewhere(
     join: Join,
     prefix: str,
     removed: TableDef,
-    scope: dict[str, TableDef],
 ) -> bool:
     roots = [r for r in _local_exprs(select) if r is not join.on]
-    removed_columns = {c.name.casefold() for c in removed.columns}
     for root in roots:
         for node in walk_local(root):
             if isinstance(node, Star):
@@ -413,16 +411,9 @@ def _table_referenced_elsewhere(
                     return True
                 continue
             # A bare column that exists on the removed table may bind to
-            # it; treat that as a reference unless another scope table
-            # uniquely owns the name.
-            if node.column.casefold() in removed_columns:
-                owners = [
-                    t
-                    for t in _distinct_tables(scope)
-                    if t.column(node.column) is not None
-                ]
-                if any(t.name.casefold() == removed.name.casefold() for t in owners):
-                    return True
+            # it, even where another table in scope has the name too.
+            if removed.column(node.column) is not None:
+                return True
     return False
 
 

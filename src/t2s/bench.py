@@ -30,7 +30,7 @@ from math import inf
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import BenchError, SqlSyntaxError, T2SError
+from .errors import BenchError, SqlSyntaxError, T2SError, read_json
 from .pipeline import ABLATION_FLAGS, Deps, PipelineConfig, PipelineResult, run_pipeline
 from .refine import ExecutionOutcome, SqlSession, answer_key
 from .sql_ast import parse_select
@@ -68,11 +68,7 @@ def load_dataset(path: str | Path) -> list[Task]:
     is not text, fails loudly with its index.  `question_id` may be a
     number, as BIRD writes it.
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise BenchError(f"cannot parse dataset {path}: {exc}") from exc
+    data = read_json(path, BenchError, "dataset")
     if not isinstance(data, list):
         raise BenchError(f"dataset {path} must be a JSON list")
     tasks: list[Task] = []

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .bench import DEFAULT_RVES_REPEATS, load_dataset, run_bench
-from .errors import IngestError, T2SError
+from .errors import IngestError, T2SError, read_json
 from .fewshot import FewShotLibrary
 from .gateway import HttpGateway, RecordingGateway, ScriptedGateway
 from .pipeline import (
@@ -100,26 +100,13 @@ def _load_deps(
     db_id: Optional[str] = None,
 ) -> Deps:
     if catalog_path:
-        try:
-            with open(catalog_path, encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise IngestError(f"cannot parse catalog {catalog_path}: {exc}") from exc
-        catalog = SchemaCatalog.from_dict(data)
+        catalog = SchemaCatalog.from_dict(read_json(catalog_path, IngestError, "catalog"))
     else:
         catalog = ingest_schema(db_path, db_id=db_id, description_dir=descriptions)
-    if index_path:
-        index = ValueIndex.load(index_path)
-    else:
-        index = ValueIndex.build(db_path, catalog)
+    index = ValueIndex.load(index_path) if index_path else ValueIndex.build(db_path, catalog)
     library = FewShotLibrary.load(library_path) if library_path else FewShotLibrary()
-    return Deps(
-        catalog=catalog,
-        db_path=str(db_path),
-        index=index,
-        library=library,
-        gateway=gateway,
-    )
+    return Deps(catalog=catalog, db_path=str(db_path), index=index, library=library,
+                gateway=gateway)
 
 
 def _find_db(root: Path, db_id: str) -> Path:
@@ -170,19 +157,26 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fewshot(args: argparse.Namespace) -> int:
-    with open(args.pairs, encoding="utf-8") as handle:
-        raw = json.load(handle)
+def _read_pairs(path: str) -> list[tuple[str, str]]:
+    """The gold pairs of a JSON list of {question, SQL|sql|query} objects
+    or [question, SQL] lists; a pair that is not two texts is refused."""
+    data = read_json(path, IngestError, "pairs file")
+    if not isinstance(data, list):
+        raise IngestError(f"pairs file {path} must hold a JSON list")
     pairs = []
-    for index, entry in enumerate(raw):
+    for index, entry in enumerate(data):
         if isinstance(entry, dict):
-            question = entry.get("question")
             sql = entry.get("SQL") or entry.get("sql") or entry.get("query")
-        else:
-            question, sql = entry[0], entry[1]
-        if not question or not sql:
-            raise T2SError(f"pair {index} lacks a question or SQL")
-        pairs.append((question, sql))
+            entry = [entry.get("question"), sql]
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(text, str) and text for text in entry)):
+            raise IngestError(f"pair {index} in {path} is not a question and SQL as text")
+        pairs.append((entry[0], entry[1]))
+    return pairs
+
+
+def _cmd_fewshot(args: argparse.Namespace) -> int:
+    pairs = _read_pairs(args.pairs)
     schema_text = ""
     if args.db:
         schema_text = render_schema(ingest_schema(args.db, db_id=args.db_id))
@@ -362,10 +356,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except T2SError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (T2SError, OSError) as exc:  # OSError: a missing file, or a directory
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

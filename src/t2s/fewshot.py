@@ -21,14 +21,14 @@ from __future__ import annotations
 import json
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .embedding import Embedder, SparseRows, TrigramEmbedder, dense_parts
-from .errors import CotParseError, GatewayError, IngestError
+from .errors import CotParseError, GatewayError, IngestError, read_json_lines
 from .gateway import Gateway, LlmConfig
 
 # Prompt wire format.  Generated replies are parsed by these exact
@@ -400,63 +400,41 @@ class FewShotLibrary:
                     "sql": shot.sql,
                     "masked_question": shot.masked_question,
                     "db_id": shot.db_id,
-                    "cot": None
-                    if shot.cot is None
-                    else {
-                        "reason": shot.cot.reason,
-                        "columns": shot.cot.columns,
-                        "values": shot.cot.values,
-                        "select": shot.cot.select,
-                        "sql_like": shot.cot.sql_like,
-                    },
+                    "cot": None if shot.cot is None else asdict(shot.cot),
                 }
                 handle.write(json.dumps(record) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "FewShotLibrary":
+        _, *records = read_json_lines(
+            path, IngestError, "few-shot library",
+            header=(FORMAT_NAME, FORMAT_VERSION, "t2s fewshot"),
+        )
         shots: list[FewShot] = []
-        try:
-            with open(path, encoding="utf-8") as handle:
-                lines = [(lineno, raw) for lineno, raw in enumerate(handle, start=1) if raw.strip()]
-        except UnicodeDecodeError as exc:
-            raise IngestError(f"few-shot file {path} is not UTF-8: {exc}") from exc
-        if not lines:
-            raise IngestError(f"empty few-shot file: {path}")
-        try:
-            header = json.loads(lines[0][1])
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"bad few-shot header in {path}: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-            raise IngestError(f"not a few-shot library file: {path}")
-        if header.get("version") != FORMAT_VERSION:
-            raise IngestError(f"unsupported few-shot version {header.get('version')!r}")
-        for lineno, raw in lines[1:]:
+        for lineno, record in records:
             try:
-                record = json.loads(raw)
                 kind = record["type"]
                 if kind == "shot":
-                    if not (isinstance(record["question"], str) and isinstance(record["sql"], str)):
-                        raise TypeError("question and sql must be text")
-                    cot_data = record.get("cot")
-                    shots.append(
-                        FewShot(
-                            question=record["question"],
-                            sql=record["sql"],
-                            masked_question=record.get("masked_question", ""),
-                            db_id=record.get("db_id", ""),
-                            cot=None
-                            if cot_data is None
-                            else CoTBody(
-                                reason=cot_data.get("reason", ""),
-                                columns=cot_data.get("columns", ""),
-                                values=cot_data.get("values", ""),
-                                select=cot_data.get("select", ""),
-                                sql_like=cot_data.get("sql_like", ""),
-                            ),
-                        )
-                    )
+                    shots.append(_read_shot(record))
                 elif kind != "correction":  # older files repeat DEFAULT_CORRECTIONS
-                    raise IngestError(f"unknown record type {kind!r}")
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    raise ValueError(f"unknown record type {kind!r}")
+            except (KeyError, TypeError, ValueError) as exc:
                 raise IngestError(f"bad few-shot record at line {lineno}: {exc}") from exc
         return cls(shots=shots)
+
+
+def _read_shot(record: dict) -> FewShot:
+    """The demonstration a `shot` record holds; TypeError if a field is not text."""
+    cot = record.get("cot")
+    if cot is not None:
+        if not isinstance(cot, dict):
+            raise TypeError("cot must be null or an object")
+        cot = CoTBody(**{f.name: cot.get(f.name, "") for f in fields(CoTBody)})
+    shot = FewShot(record["question"], record["sql"], cot,
+                   masked_question=record.get("masked_question", ""), db_id=record.get("db_id", ""))
+    texts = [shot.question, shot.sql, shot.masked_question, shot.db_id]
+    if cot is not None:
+        texts += vars(cot).values()
+    if not all(isinstance(text, str) for text in texts):
+        raise TypeError("question, sql, masked_question, db_id and the cot fields must be text")
+    return shot

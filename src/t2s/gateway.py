@@ -30,7 +30,7 @@ from typing import Optional, Protocol, runtime_checkable
 
 import requests
 
-from .errors import GatewayError
+from .errors import GatewayError, read_json_lines
 
 ENDPOINT_ENV = "T2S_LLM_ENDPOINT"
 API_KEY_ENV = "T2S_LLM_KEY"
@@ -100,22 +100,11 @@ class ScriptedGateway:
     @classmethod
     def from_transcript(cls, path: str | Path, strict: bool = True) -> "ScriptedGateway":
         gateway = cls(strict=strict)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                lines = list(enumerate(handle, start=1))
-        except UnicodeDecodeError as exc:
-            raise GatewayError(f"transcript {path} is not UTF-8: {exc}") from exc
-        for lineno, raw in lines:
-            raw = raw.strip()
-            if not raw:
-                continue
+        for lineno, record in read_json_lines(path, GatewayError, "transcript"):
             try:
-                record = json.loads(raw)
                 gateway.add(record["key"], record["reply"])
-            except (json.JSONDecodeError, KeyError, TypeError, GatewayError) as exc:
-                raise GatewayError(
-                    f"bad transcript line {lineno} in {path}: {exc}"
-                ) from exc
+            except (KeyError, TypeError, GatewayError) as exc:
+                raise GatewayError(f"bad transcript line {lineno} in {path}: {exc}") from exc
         return gateway
 
     def add(self, key: str, reply: str | list[str]) -> None:

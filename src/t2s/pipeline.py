@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 # Unused here, but perfbench patches t2s.pipeline.align_statement and .execute_sql.
 from .alignment import AlignmentContext, align_statement  # noqa: F401
 from .embedding import Embedder, TrigramEmbedder
-from .errors import IngestError
+from .errors import IngestError, read_json
 from .extraction import ExtractionResult, run_extraction
 from .fewshot import FewShotLibrary, augment_cot, render_fewshots
 from .gateway import Gateway, LlmConfig
@@ -52,6 +52,10 @@ N_CANDIDATE_CHOICES = (1, 7, 15, 21)
 # 1 ms, and there a thread handoff costs more than the chains overlap.
 SLOW_MODEL_CALL_S = 0.005
 CORRECTION_THREADS = 8
+
+
+# The JSON values a config file may give a field, by its declared type.
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 @dataclass(frozen=True)
@@ -99,17 +103,19 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise IngestError(f"bad config file {path}: {exc}") from exc
+        data = read_json(path, IngestError, "config file")
         if not isinstance(data, dict):
             raise IngestError(f"config file {path} must hold a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        declared = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(data) - set(declared))
         if unknown:
             raise IngestError(f"unknown config keys in {path}: {', '.join(unknown)}")
+        for key, value in data.items():
+            # A bool is an int to isinstance, but no number to a config.
+            kind = declared[key]
+            if (not isinstance(value, _JSON_TYPES[kind])
+                    or isinstance(value, bool) != (kind == "bool")):
+                raise IngestError(f"config key {key!r} in {path} must be {kind}")
         data.update(overrides)
         return cls(**data)
 

@@ -16,9 +16,9 @@ reproducible and easy to check against a brute-force scan.
 
 The saved file holds the stored text only, one JSON line per run of
 consecutive entries that share a kind, table and column (format 3).
-Vectors are a pure function of that text, so `load` re-embeds it through
-the same constructor that `build` uses, and a loaded index scores exactly
-as the built one does.
+Vectors are a pure function of that text, so `load` passes those runs
+to the same constructor that `build` passes its columns to, and a loaded
+index scores exactly as the built one does.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .embedding import (
     probe_nonzeros,
 )
 # EmbeddingError stays importable from here, where callers import it.
-from .errors import EmbeddingError, IndexBuildError  # noqa: F401
+from .errors import EmbeddingError, IndexBuildError, read_json_lines  # noqa: F401
 from .schema import ColumnSelection, SchemaCatalog, connect_read_only, quote_identifier
 
 FORMAT_NAME = "t2s-value-index"
@@ -48,8 +48,11 @@ FORMAT_VERSION = 3
 # text is kept in full so replacements stay faithful.
 MAX_EMBED_CHARS = 256
 
-# (kind, text, table, column): one entry, as the constructor takes it.
-Record = tuple[str, str, str, str]
+KINDS = ("cell_value", "column_name")
+
+# (kind, table, column, texts): entries of one column, as a file line holds
+# them and the constructor takes them.
+Run = tuple[str, str, str, list[str]]
 
 
 @dataclass(frozen=True)
@@ -119,17 +122,19 @@ class ValueIndex:
     def __init__(
         self,
         db_id: str,
-        records: Iterable[Record],
+        runs: Iterable[Run],
         embedder: Optional[Embedder] = None,
     ):
-        """Embed the records; entries whose text does not embed are left out."""
+        """Embed the runs' texts; a text that does not embed is left out."""
         self.db_id = db_id
         self.embedder = embedder or TrigramEmbedder()
         self.dim = self.embedder.dim
-        records = list(records)
-        self._cells, parts = self._embedded(records, "cell_value")
+        by_kind: dict[str, list[Run]] = {kind: [] for kind in KINDS}
+        for run in runs:
+            by_kind[run[0]].append(run)
+        self._cells, parts = self._embedded(by_kind["cell_value"])
         self._cell_store = SparseRows(parts, len(self._cells), self.dim)
-        self._columns, parts = self._embedded(records, "column_name")
+        self._columns, parts = self._embedded(by_kind["column_name"])
         # Columns also match their qualified "table.column" spelling: row
         # len(columns) + i of the column store is column i's.
         qualified = [self.embedder.embed(f"{e.table}.{e.column}") for e in self._columns]
@@ -148,11 +153,12 @@ class ValueIndex:
         # built on a column's first lookup (see `stored_spelling`).
         self._spellings: dict[tuple[str, str], dict[str, list[str]]] = {}
 
-    def _embedded(self, records: list[Record], kind: str):
-        """The entries of this kind whose text embeds, and their non-zeros."""
-        chosen = [record for record in records if record[0] == kind]
-        parts, kept = embed_parts(self.embedder, [r[1][:MAX_EMBED_CHARS] for r in chosen])
-        return [IndexedEntry(kind, *chosen[i][1:], self.embedder) for i in kept], parts
+    def _embedded(self, runs: list[Run]):
+        """The runs' entries whose text embeds, and their non-zeros."""
+        entries = [IndexedEntry(kind, text, table, column, self.embedder)
+                   for kind, table, column, texts in runs for text in texts]
+        parts, kept = embed_parts(self.embedder, [e.text[:MAX_EMBED_CHARS] for e in entries])
+        return [entries[i] for i in kept], parts
 
     # -- construction -----------------------------------------------------
 
@@ -163,7 +169,7 @@ class ValueIndex:
         catalog: SchemaCatalog,
         embedder: Optional[Embedder] = None,
     ) -> "ValueIndex":
-        records: list[Record] = []
+        runs: list[Run] = []
         try:
             conn = connect_read_only(db_path)
         except sqlite3.Error as exc:
@@ -185,17 +191,13 @@ class ValueIndex:
                         raise IndexBuildError(
                             f"cannot read {table.name}.{col.name}: {exc}"
                         ) from exc
-                    records.extend(
-                        ("cell_value", value, table.name, col.name)
-                        for (value,) in rows
-                        if isinstance(value, str)
-                    )
+                    texts = [value for (value,) in rows if isinstance(value, str)]
+                    runs.append(("cell_value", table.name, col.name, texts))
         finally:
             conn.close()
-        for table in catalog.tables:
-            for col in table.columns:
-                records.append(("column_name", col.name, table.name, col.name))
-        return cls(catalog.db_id, records, embedder)
+        runs += [("column_name", table.name, col.name, [col.name])
+                 for table in catalog.tables for col in table.columns]
+        return cls(catalog.db_id, runs, embedder)
 
     # -- queries ----------------------------------------------------------
 
@@ -298,46 +300,27 @@ class ValueIndex:
 
     @classmethod
     def load(cls, path: str | Path, embedder: Optional[Embedder] = None) -> "ValueIndex":
-        """Read a saved index and embed its entries as `build` does."""
-        try:
-            with open(path, encoding="utf-8") as handle:
-                lines = ((lineno, raw) for lineno, raw in enumerate(handle, start=1) if raw.strip())
-                _, first = next(lines, (0, None))
-                if first is None:
-                    raise IndexBuildError(f"empty index file: {path}")
-                try:
-                    header = json.loads(first)
-                except (json.JSONDecodeError, RecursionError) as exc:
-                    raise IndexBuildError(f"bad index header in {path}: {exc}") from exc
-                if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-                    raise IndexBuildError(f"not a value index file: {path}")
-                if header.get("version") != FORMAT_VERSION:
-                    raise IndexBuildError(
-                        f"unsupported index version {header.get('version')!r} in {path}; "
-                        f"re-run `t2s preprocess` to rebuild it"
-                    )
-                dim = header.get("dim", EMBEDDING_DIM)
-                if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
-                    raise IndexBuildError(f"bad embedding dim {dim!r} in {path}")
-                records: list[Record] = []
-                for lineno, raw in lines:
-                    try:
-                        record = json.loads(raw)
-                        if not isinstance(record, dict):
-                            raise TypeError("a record must be a JSON object")
-                        kind, table, column, texts = (
-                            record["kind"], record["table"], record["column"], record["texts"]
-                        )
-                        if kind not in ("cell_value", "column_name"):
-                            raise ValueError(f"unknown record kind {kind!r}")
-                        if not (isinstance(table, str) and isinstance(column, str)
-                                and isinstance(texts, list)
-                                and all(isinstance(text, str) for text in texts)):
-                            raise TypeError("table and column must be text, texts a list of text")
-                    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                        raise IndexBuildError(f"bad index record at line {lineno}: {exc}") from exc
-                    records.extend((kind, text, table, column) for text in texts)
-            # A lone surrogate escape decodes, but is not text any encoder takes.
-            return cls(header.get("db_id", ""), records, embedder or TrigramEmbedder(dim))
-        except UnicodeError as exc:
-            raise IndexBuildError(f"index file {path} is not UTF-8: {exc}") from exc
+        """Read a saved index and embed its runs as `build` does."""
+        (_, header), *lines = read_json_lines(
+            path, IndexBuildError, "value index",
+            header=(FORMAT_NAME, FORMAT_VERSION, "t2s preprocess"),
+        )
+        dim = header.get("dim", EMBEDDING_DIM)
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
+            raise IndexBuildError(f"bad embedding dim {dim!r} in {path}")
+        runs: list[Run] = []
+        for lineno, record in lines:
+            try:
+                if not isinstance(record, dict):
+                    raise TypeError("a record must be a JSON object")
+                run = (record["kind"], record["table"], record["column"], record["texts"])
+                kind, table, column, texts = run
+                if kind not in KINDS:
+                    raise ValueError(f"unknown record kind {kind!r}")
+                if not (isinstance(texts, list)
+                        and all(isinstance(text, str) for text in [table, column, *texts])):
+                    raise TypeError("table and column must be text, texts a list of text")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise IndexBuildError(f"bad index record at line {lineno}: {exc}") from exc
+            runs.append(run)
+        return cls(header.get("db_id", ""), runs, embedder or TrigramEmbedder(dim))

@@ -4,7 +4,8 @@ from dataclasses import fields
 import pytest
 
 from t2s import FewShotLibrary, PipelineConfig
-from t2s.cli import ABLATION_FLAGS, _build_config, build_parser, main
+from t2s.cli import ABLATION_FLAGS, _build_config, _read_pairs, build_parser, main
+from t2s.errors import IngestError
 
 
 def write_cli_transcript(e2e, path):
@@ -318,3 +319,47 @@ def test_unreadable_catalog_or_config_exits_1(e2e, tmp_path, capsys, flag, conte
                  "--transcript", str(transcript), flag, str(path)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("content,message", [
+    (b'[{"question": "q", "sql": "SELECT 1"', "cannot parse pairs file"),
+    (b'[{"question": "caf\xe9", "sql": "SELECT 1"}]', "not UTF-8"),
+    (b"[5]", "pair 0 "),
+    (b'[["q", "SELECT 1"], ["q"]]', "pair 1 "),
+    (b'{"a": 1}', "must hold a JSON list"),
+    (b'[{"question": 5, "sql": "SELECT 1"}]', "pair 0 "),
+    (b'[{"question": "q", "sql": ""}]', "pair 0 "),
+    (b'[["q", "SELECT 1", "extra"]]', "pair 0 "),
+], ids=["truncated", "not-utf8", "number", "one-item", "object", "question-number",
+        "sql-empty", "three-items"])
+def test_fewshot_command_refuses_bad_pairs(tmp_path, capsys, content, message):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_bytes(content)
+    with pytest.raises(IngestError, match=message):
+        _read_pairs(str(pairs))
+    code = main(["fewshot", "--pairs", str(pairs), "--out", str(tmp_path / "lib.jsonl")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "lib.jsonl").exists()
+
+
+def test_read_pairs_takes_every_spelling_of_the_sql_key(tmp_path):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([
+        {"question": "a", "SQL": "SELECT 1"},
+        {"question": "b", "sql": "SELECT 2"},
+        {"question": "c", "query": "SELECT 3"},
+        ["d", "SELECT 4"],
+    ]))
+    assert _read_pairs(str(pairs)) == [
+        ("a", "SELECT 1"), ("b", "SELECT 2"), ("c", "SELECT 3"), ("d", "SELECT 4"),
+    ]
+
+
+def test_a_directory_as_an_input_file_exits_1(tmp_path, capsys):
+    transcript = tmp_path / "empty.jsonl"
+    transcript.write_text("")
+    code = main(["bench", "--dataset", str(tmp_path), "--db-root", str(tmp_path),
+                 "--transcript", str(transcript)])
+    assert code == 1
+    assert "Is a directory" in capsys.readouterr().err

@@ -492,3 +492,32 @@ def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
     )
     with pytest.raises(IngestError, match="not UTF-8"):
         FewShotLibrary.load(path)
+
+
+_COT = {"reason": "r", "columns": "T.c", "values": "none", "select": "", "sql_like": "SELECT 1"}
+
+
+@pytest.mark.parametrize("change", [
+    {"cot": [1]},
+    {"cot": "reasoning"},
+    {"cot": {**_COT, "reason": 5}},
+    {"cot": {**_COT, "sql_like": None}},
+    {"db_id": 3},
+    {"masked_question": 5},
+], ids=["cot-list", "cot-text", "cot-reason", "cot-sql-like", "db-id", "masked-question"])
+def test_load_rejects_a_shot_of_the_wrong_shape(tmp_path, change):
+    shot = {"type": "shot", "question": "q", "sql": "SELECT 1", "masked_question": "q",
+            "db_id": "db", "cot": _COT, **change}
+    path = tmp_path / "x.jsonl"
+    path.write_text('{"format": "t2s-fewshot", "version": 1}\n' + json.dumps(shot) + "\n")
+    with pytest.raises(IngestError, match=r"at line 2:"):
+        FewShotLibrary.load(path)
+
+
+def test_load_takes_a_shot_without_optional_fields(tmp_path):
+    path = tmp_path / "x.jsonl"
+    shot = {"type": "shot", "question": "q", "sql": "SELECT 1", "cot": {"reason": "r"}}
+    path.write_text('{"format": "t2s-fewshot", "version": 1}\n' + json.dumps(shot) + "\n")
+    (loaded,) = FewShotLibrary.load(path).shots
+    assert (loaded.masked_question, loaded.db_id) == ("", "")
+    assert loaded.cot == CoTBody(reason="r")

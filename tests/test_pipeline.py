@@ -58,6 +58,32 @@ def test_config_from_file_rejects_unknown_keys(tmp_path):
     assert "mystery_knob" in str(err.value)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("k_f", "five"),
+    ("n_candidates", "3"),
+    ("threshold", None),
+    ("no_vote", "yes"),
+    ("no_vote", 1),
+    ("top_k", 2.5),
+    ("top_k", True),
+    ("threshold", False),
+    ("model_name", 4),
+    ("restrict_fewshots_same_db", 0),
+])
+def test_config_from_file_rejects_a_value_of_the_wrong_type(tmp_path, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(IngestError, match=repr(key)):
+        PipelineConfig.from_file(path)
+
+
+def test_config_from_file_takes_an_integer_for_a_float(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"threshold": 1, "execution_timeout_s": 2, "no_vote": False}))
+    cfg = PipelineConfig.from_file(path)
+    assert (cfg.threshold, cfg.execution_timeout_s, cfg.no_vote) == (1, 2, False)
+
+
 def test_config_from_file_rejects_non_object(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("[1, 2]")

@@ -143,7 +143,7 @@ _placed_cells = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(cells=_placed_cells, literals=st.lists(_spelled, min_size=1, max_size=6))
 def test_stored_spelling_matches_the_linear_scan(cells, literals):
-    index = ValueIndex("db", [("cell_value", text, t, c) for text, t, c in cells])
+    index = ValueIndex("db", [("cell_value", t, c, [text]) for text, t, c in cells])
     for literal in literals + [text for text, _t, _c in cells[:4]]:
         for table, column in (("T", "c"), ("t", "C"), ("U", "d"), ("T", "d"), ("V", "c")):
             assert index.stored_spelling(table, column, literal) == (
@@ -304,11 +304,11 @@ def test_batch_leaves_out_the_records_the_dense_path_leaves_out():
     # do not embed; the rows after them must keep their order.
     long_blank = " " * MAX_EMBED_CHARS + "tail that is never embedded"
     texts = ["Alice", "", "   ", "Bob Ray", "\t\n", long_blank, "+", "x" * 300, "ab", " é "]
-    records = [("cell_value", text, "T", "c") for text in texts]
-    records += [("column_name", name, "T", name) for name in ("", "c", "  ", "Total $")]
-    records *= 60  # 840 records: several blocks of the batch
-    batch = ValueIndex("db", records)
-    _assert_same_index(batch, ValueIndex("db", records, _DenseTrigrams()))
+    runs = [("cell_value", "T", "c", texts)]
+    runs += [("column_name", "T", name, [name]) for name in ("", "c", "  ", "Total $")]
+    runs *= 60  # 840 entries: several blocks of the batch
+    batch = ValueIndex("db", runs)
+    _assert_same_index(batch, ValueIndex("db", runs, _DenseTrigrams()))
     kept = ["Alice", "Bob Ray", "+", "x" * 300, "ab", " é "] * 60
     assert [e.text for e in batch.entries if e.kind == "cell_value"] == kept
     assert [e.column for e in batch.entries if e.kind == "column_name"] == ["c", "Total $"] * 60
@@ -338,11 +338,11 @@ _batch_texts = st.one_of(
     block=st.sampled_from([1, 2, 3, 256]),
 )
 def test_batch_store_equals_the_dense_store(cells, columns, block):
-    records = [("cell_value", text, "T", "c") for text in cells]
-    records += [("column_name", text, "T", text) for text in columns]
+    runs = [("cell_value", "T", "c", cells)]
+    runs += [("column_name", "T", text, [text]) for text in columns]
     with mock.patch.object(embedding, "_BLOCK", block):
-        batch = ValueIndex("db", records)
-        dense = ValueIndex("db", records, _DenseTrigrams())
+        batch = ValueIndex("db", runs)
+        dense = ValueIndex("db", runs, _DenseTrigrams())
     _assert_same_index(batch, dense)
 
 
@@ -366,14 +366,14 @@ _placed = st.tuples(
 def test_a_loaded_index_stores_the_same_bytes(index_path, cells, columns):
     # Columns interleave and repeat, so one column's texts are on more than
     # one line, and repeating the draw spans several 256-text blocks.
-    records = [("cell_value", text, t, c) for text, t, c, n in cells for _ in range(n)]
-    records += [("column_name", text, t, text) for text, t, _, n in columns for _ in range(n)]
-    records *= 600 // len(records) + 1
-    index = ValueIndex("db", records)
+    runs = [("cell_value", t, c, [text] * n) for text, t, c, n in cells]
+    runs += [("column_name", t, text, [text] * n) for text, t, _, n in columns]
+    runs *= 600 // sum(len(texts) for *_, texts in runs) + 1
+    index = ValueIndex("db", runs)
     index.save(index_path)
     loaded = ValueIndex.load(index_path)
     _assert_same_index(loaded, index)
-    _assert_same_index(loaded, ValueIndex("db", records, _DenseTrigrams()))
+    _assert_same_index(loaded, ValueIndex("db", runs, _DenseTrigrams()))
 
 
 _json = st.recursive(
