@@ -27,6 +27,7 @@ from .schema import SchemaCatalog, TableDef
 from .sql_ast import (
     Binary,
     ColumnRef,
+    Compound,
     FuncCall,
     IsNull,
     Join,
@@ -71,43 +72,32 @@ class AlignmentOutcome:
 
 
 def _sources(select: Select) -> list[Node]:
-    out = []
-    if select.from_ is not None:
-        out.append(select.from_)
-    out.extend(join.source for join in select.joins)
-    return out
+    head = [] if select.from_ is None else [select.from_]
+    return head + [join.source for join in select.joins]
 
 
-def _scope_tables(select: Select, catalog: SchemaCatalog) -> dict[str, TableDef]:
-    """Map every usable prefix (alias or table name, lowered) to its table."""
+def _scope_tables(select: Select, catalog: SchemaCatalog, count=None) -> dict[str, TableDef]:
+    """Map every usable prefix (alias or table name, lowered) to its table,
+    in the first `count` sources only when given, as an ON clause sees them."""
     scope: dict[str, TableDef] = {}
-    for source in _sources(select):
-        if not isinstance(source, TableRef):
-            continue
-        table = catalog.resolve_table(source.name)
-        if table is None:
-            continue
-        if source.alias:
-            scope[source.alias.casefold()] = table
-        else:
-            scope[source.name.casefold()] = table
+    seen: set[str] = set()
+    for source in _sources(select)[:count]:
+        if isinstance(source, TableRef):
+            prefix = (source.alias or source.name).casefold()
+            table = catalog.resolve_table(source.name)
+            if prefix in seen:
+                scope.pop(prefix, None)  # a prefix two sources share names neither
+            elif table is not None:
+                scope[prefix] = table
+            seen.add(prefix)
     return scope
 
 
 def _local_exprs(select: Select) -> list[Node]:
     """Expression roots belonging to this select's own scope."""
-    roots: list[Node] = []
-    roots.extend(item for item in select.items)
-    for join in select.joins:
-        if join.on is not None:
-            roots.append(join.on)
-    if select.where is not None:
-        roots.append(select.where)
-    roots.extend(select.group_by)
-    if select.having is not None:
-        roots.append(select.having)
-    roots.extend(select.order_by)
-    return roots
+    ons = [join.on for join in select.joins]
+    roots = (*select.items, *ons, select.where, *select.group_by, select.having, *select.order_by)
+    return [root for root in roots if root is not None]
 
 
 def _resolve_ref(
@@ -124,49 +114,32 @@ def _resolve_ref(
             return None
         col = table.column(ref.column)
         return (table, col.name) if col is not None else None
-    matches = []
-    for table in _distinct_tables(scope):
-        col = table.column(ref.column)
-        if col is not None:
-            matches.append((table, col.name))
-    if len(matches) == 1:
-        return matches[0]
-    return None
+    matches = [(t, col.name) for t in _distinct_tables(scope) if (col := t.column(ref.column))]
+    return matches[0] if len(matches) == 1 else None
 
 
 def _distinct_tables(scope: dict[str, TableDef]) -> list[TableDef]:
-    return list({t.name.casefold(): t for t in scope.values()}.values())
+    # The catalog holds one object per table, so identity tells them apart.
+    return list({id(t): t for t in scope.values()}.values())
 
 
-def _each_select(statement: Statement):
+def _selects(statement: Statement) -> list[Select]:
     """Every Select node in the tree, outermost first."""
-    for node in walk(statement):
-        if isinstance(node, Select):
-            yield node
+    return [node for node in walk(statement) if isinstance(node, Select)]
 
 
 # -- agent alignment ------------------------------------------------------
 
 
 def _string_predicates(select: Select) -> list[tuple[Node, ColumnRef, StringLit]]:
-    """(predicate, column, literal) for `col = 'text'` and wildcard-free LIKE."""
+    """(root, column, literal) for `col = 'text'` and wildcard-free LIKE."""
     out = []
     for root in _local_exprs(select):
         for node in walk_local(root):
-            if (
-                isinstance(node, Binary)
-                and node.op == "="
-                and isinstance(node.left, ColumnRef)
-                and isinstance(node.right, StringLit)
-            ):
-                out.append((node, node.left, node.right))
-            elif (
-                isinstance(node, Binary)
-                and node.op == "="
-                and isinstance(node.right, ColumnRef)
-                and isinstance(node.left, StringLit)
-            ):
-                out.append((node, node.right, node.left))
+            if isinstance(node, Binary) and node.op == "=":
+                for ref, literal in ((node.left, node.right), (node.right, node.left)):
+                    if isinstance(ref, ColumnRef) and isinstance(literal, StringLit):
+                        out.append((root, ref, literal))
             elif (
                 isinstance(node, Like)
                 and node.op == "LIKE"
@@ -176,7 +149,7 @@ def _string_predicates(select: Select) -> list[tuple[Node, ColumnRef, StringLit]
                 and "%" not in node.pattern.value
                 and "_" not in node.pattern.value
             ):
-                out.append((node, node.expr, node.pattern))
+                out.append((root, node.expr, node.pattern))
     return out
 
 
@@ -196,14 +169,14 @@ def _same_column_value(
     return hits[0].text if hits else None
 
 
-def agent_align(statement: Statement, ctx: AlignmentContext) -> list[str]:
+def agent_align(statement: Statement, ctx: AlignmentContext, selects=None) -> list[str]:
     """Rewrite string predicates to match stored cell spellings."""
     if ctx.index is None:
         return []
     flags: list[str] = []
-    for select in _each_select(statement):
+    for select in selects or _selects(statement):
         scope = _scope_tables(select, ctx.catalog)
-        for _pred, ref, literal in _string_predicates(select):
+        for root, ref, literal in _string_predicates(select):
             resolved = _resolve_ref(ref, scope, ctx.catalog)
             if resolved is None:
                 continue
@@ -218,9 +191,14 @@ def agent_align(statement: Statement, ctx: AlignmentContext) -> list[str]:
                     literal.value = replacement
                 continue
             # The value lives somewhere else: remap the column only when
-            # the other table already participates in this FROM clause.
+            # the other table already participates in this FROM clause,
+            # and in an ON clause, joins before it.
+            visible = scope
+            for count, join in enumerate(select.joins, start=2):
+                if join.on is root:
+                    visible = _scope_tables(select, ctx.catalog, count)
             for hit in ctx.index.search_values(literal.value, ctx.retrieval):
-                prefix = _prefix_for_table(scope, hit.table)
+                prefix = _prefix_for_table(visible, ctx.catalog.resolve_table(hit.table))
                 if prefix is None:
                     continue
                 flags.append(
@@ -238,9 +216,9 @@ def agent_align(statement: Statement, ctx: AlignmentContext) -> list[str]:
     return flags
 
 
-def _prefix_for_table(scope: dict[str, TableDef], table_name: str) -> Optional[str]:
-    for prefix, table in scope.items():
-        if table.name.casefold() == table_name.casefold():
+def _prefix_for_table(scope: dict[str, TableDef], table: Optional[TableDef]) -> Optional[str]:
+    for prefix, candidate in scope.items():
+        if candidate is table:
             # Prefer the alias spelling actually used in FROM.
             return prefix if prefix != table.name.casefold() else table.name
     return None
@@ -251,17 +229,16 @@ def _prefix_for_table(scope: dict[str, TableDef], table_name: str) -> Optional[s
 
 def _group_by_targets(select: Select) -> list[ColumnRef]:
     """Plain column refs among select items, for an introduced GROUP BY."""
-    targets = []
-    for item in select.items:
-        if isinstance(item, SelectItem) and isinstance(item.expr, ColumnRef):
-            targets.append(item.expr)
-    return targets
+    items = select.items
+    return [i.expr for i in items if isinstance(i, SelectItem) and isinstance(i.expr, ColumnRef)]
 
 
-def function_align(statement: Statement, ctx: AlignmentContext) -> list[str]:
+def function_align(statement: Statement, ctx: AlignmentContext, selects=None) -> list[str]:
     """Repair aggregate misuse and drop joins that change nothing."""
     flags: list[str] = []
-    for select in _each_select(statement):
+    # Innermost first: a join a subquery drops is no longer a use of the
+    # outer table when the outer select is checked.
+    for select in reversed(selects or _selects(statement)):
         flags.extend(_fix_order_by_aggregate(select))
         flags.extend(_fix_nested_aggregates(select))
         flags.extend(_drop_redundant_joins(select, ctx.catalog))
@@ -278,7 +255,12 @@ def _fix_order_by_aggregate(select: Select) -> list[str]:
         return []
     flags = []
     for term in select.order_by:
-        if is_aggregate_call(term.expr) and len(term.expr.args) == 1:
+        if (
+            is_aggregate_call(term.expr)
+            and len(term.expr.args) == 1
+            # A bare number in ORDER BY names a result column.
+            and not isinstance(term.expr.args[0], NumberLit)
+        ):
             inner = term.expr.args[0]
             flags.append(f"order_aggregate_unwrapped:{term.expr.name.upper()}")
             term.expr = inner
@@ -296,8 +278,6 @@ def _fix_nested_aggregates(select: Select) -> list[str]:
         changed = False
         for root in _local_exprs(select):
             for node in walk_local(root):
-                if not isinstance(node, FuncCall):
-                    continue
                 if not is_aggregate_call(node) or len(node.args) != 1:
                     continue
                 inner = node.args[0]
@@ -317,12 +297,9 @@ def _fix_nested_aggregates(select: Select) -> list[str]:
 
 
 def _join_fk_pair(
-    select: Select,
-    join: Join,
-    scope: dict[str, TableDef],
-    catalog: SchemaCatalog,
-) -> Optional[tuple[TableDef, str, TableDef, str]]:
-    """(kept table, kept fk column, removed table, removed key column).
+    join: Join, scope: dict[str, TableDef], catalog: SchemaCatalog
+) -> Optional[tuple[TableDef, str, TableDef]]:
+    """(kept table, kept fk column, removed table).
 
     Returns the orientation in which `join.source` is the referenced,
     unique side of a declared foreign key, or None.
@@ -346,22 +323,21 @@ def _join_fk_pair(
     right = _resolve_ref(on.right, scope, catalog)
     if left is None or right is None:
         return None
-    sides = {left[0].name.casefold(): left, right[0].name.casefold(): right}
-    if removed.name.casefold() not in sides or len(sides) != 2:
+    # The catalog holds one object per table and per column, so identity
+    # compares names.
+    if left[0] is removed and right[0] is not removed:
+        (kept_table, kept_col), removed_col = right, left[1]
+    elif right[0] is removed and left[0] is not removed:
+        (kept_table, kept_col), removed_col = left, right[1]
+    else:
         return None
-    removed_side = sides.pop(removed.name.casefold())
-    kept_side = next(iter(sides.values()))
-    kept_table, kept_col = kept_side
-    removed_col = removed_side[1]
-    for local, remote in kept_table.foreign_keys:
+    key = removed.column(removed_col)
+    if len(removed.primary_key) != 1 or removed.column(removed.primary_key[0]) is not key:
+        return None
+    for remote in kept_table.references(kept_col):
         rt, _, rc = remote.partition(".")
-        if (
-            local.casefold() == kept_col.casefold()
-            and rt.casefold() == removed.name.casefold()
-            and rc.casefold() == removed_col.casefold()
-        ):
-            if tuple(c.casefold() for c in removed.primary_key) == (removed_col.casefold(),):
-                return kept_table, kept_col, removed, removed_col
+        if catalog.resolve_table(rt) is removed and removed.column(rc) is key:
+            return kept_table, kept_col, removed
     return None
 
 
@@ -374,10 +350,10 @@ def _drop_redundant_joins(select: Select, catalog: SchemaCatalog) -> list[str]:
         for join in list(select.joins):
             if join.join_type not in ("INNER", "LEFT"):
                 continue
-            pair = _join_fk_pair(select, join, scope, catalog)
+            pair = _join_fk_pair(join, scope, catalog)
             if pair is None:
                 continue
-            kept_table, kept_col, removed, _removed_col = pair
+            kept_table, kept_col, removed = pair
             if join.join_type == "INNER":
                 col = kept_table.column(kept_col)
                 if col is None or not col.not_null:
@@ -392,27 +368,20 @@ def _drop_redundant_joins(select: Select, catalog: SchemaCatalog) -> list[str]:
     return flags
 
 
-def _table_referenced_elsewhere(
-    select: Select,
-    join: Join,
-    prefix: str,
-    removed: TableDef,
-) -> bool:
-    roots = [r for r in _local_exprs(select) if r is not join.on]
-    for root in roots:
-        for node in walk_local(root):
-            if isinstance(node, Star):
-                if node.table is None or node.table.casefold() == prefix.casefold():
-                    return True
-            if not isinstance(node, ColumnRef):
+def _table_referenced_elsewhere(select: Select, join: Join, prefix: str, removed: TableDef) -> bool:
+    prefix = prefix.casefold()
+    for root in [r for r in _local_exprs(select) if r is not join.on]:
+        # Subqueries count too: a correlated one may name the table, and
+        # a bare name or star there is taken as a use of it.
+        for node in walk(root):
+            if not isinstance(node, (Star, ColumnRef)):
                 continue
             if node.table is not None:
-                if node.table.casefold() == prefix.casefold():
+                if node.table.casefold() == prefix:
                     return True
-                continue
             # A bare column that exists on the removed table may bind to
             # it, even where another table in scope has the name too.
-            if removed.column(node.column) is not None:
+            elif isinstance(node, Star) or removed.column(node.column) is not None:
                 return True
     return False
 
@@ -420,16 +389,25 @@ def _table_referenced_elsewhere(
 # -- style alignment ------------------------------------------------------
 
 
-def style_align(statement: Statement, ctx: AlignmentContext) -> list[str]:
+def style_align(statement: Statement, ctx: AlignmentContext, selects=None) -> list[str]:
     """Prefer ORDER BY + LIMIT to bare MAX/MIN, and guard ranking columns."""
     flags: list[str] = []
-    for select in _each_select(statement):
-        flags.extend(_rewrite_minmax_to_limit(select))
+    for select in selects or _selects(statement):
+        flags.extend(_rewrite_minmax_to_limit(select, statement, ctx.catalog))
         flags.extend(_guard_order_columns(select, ctx.catalog))
     return flags
 
 
-def _rewrite_minmax_to_limit(select: Select) -> list[str]:
+def _binds_locally(ref: ColumnRef, select: Select, catalog: SchemaCatalog) -> bool:
+    """True where `ref` names a column of a catalog table in this select's FROM."""
+    scope = _scope_tables(select, catalog)
+    tables = scope.values() if ref.table is None else [scope.get(ref.table.casefold())]
+    return any(table is not None and table.column(ref.column) for table in tables)
+
+
+def _rewrite_minmax_to_limit(
+    select: Select, statement: Statement, catalog: SchemaCatalog
+) -> list[str]:
     if (
         len(select.items) != 1
         or select.distinct
@@ -449,8 +427,14 @@ def _rewrite_minmax_to_limit(select: Select) -> list[str]:
         and not expr.distinct
         and len(expr.args) == 1
         and isinstance(expr.args[0], ColumnRef)
+        # MAX of an outer column aggregates the outer select, and a
+        # subquery or CTE source cannot be checked.
+        and _binds_locally(expr.args[0], select, catalog)
     ):
         return []
+    compounds = (node for node in walk(statement) if isinstance(node, Compound))
+    if any(member is select for node in compounds for member in node.selects):
+        return []  # a compound's member may not have its own ORDER BY or LIMIT
     column = expr.args[0]
     direction = "DESC" if expr.name.upper() == "MAX" else "ASC"
     item.expr = column
@@ -470,12 +454,11 @@ def _conjuncts(expr: Optional[Node]) -> list[Node]:
 
 
 def _has_null_guard(select: Select, column: str) -> bool:
-    for conjunct in _conjuncts(select.where):
-        if isinstance(conjunct, IsNull) and conjunct.negated:
-            inner = conjunct.expr
-            if isinstance(inner, ColumnRef) and inner.column.casefold() == column.casefold():
-                return True
-    return False
+    return any(
+        isinstance(c, IsNull) and c.negated and isinstance(c.expr, ColumnRef)
+        and c.expr.column.casefold() == column.casefold()
+        for c in _conjuncts(select.where)
+    )
 
 
 def _guard_order_columns(select: Select, catalog: SchemaCatalog) -> list[str]:
@@ -491,6 +474,13 @@ def _guard_order_columns(select: Select, catalog: SchemaCatalog) -> list[str]:
         if resolved is None:
             continue
         table, column_name = resolved
+        if term.expr.table is None and (
+            # A bare name is guarded only where it names a column of one
+            # source, and no subquery or CTE source may hold it.
+            len(scope) < len(_sources(select))
+            or sum(t.column(column_name) is not None for t in scope.values()) > 1
+        ):
+            continue
         column = table.column(column_name)
         if column is None or column.not_null:
             continue
@@ -524,14 +514,18 @@ def align_statement(sql: str, ctx: AlignmentContext) -> AlignmentOutcome:
         statement = parse_select(sql)
     except SqlSyntaxError:
         return AlignmentOutcome(sql_in=sql, sql_out=sql, changed=False, flags=["unparseable"])
-    flags = []
-    flags.extend(agent_align(statement, ctx))
-    flags.extend(function_align(statement, ctx))
-    flags.extend(style_align(statement, ctx))
-    sql_out = emit(statement)
-    return AlignmentOutcome(
-        sql_in=sql, sql_out=sql_out, changed=sql_out != sql, flags=flags
+    # One list serves all three passes, because no pass adds or removes a
+    # select: they rewrite literals and names, put a column, part of an
+    # expression or a new predicate on a column where an expression was,
+    # and drop only joins whose ON compares two columns.
+    selects = _selects(statement)
+    flags = (
+        agent_align(statement, ctx, selects)
+        + function_align(statement, ctx, selects)
+        + style_align(statement, ctx, selects)
     )
+    sql_out = emit(statement)
+    return AlignmentOutcome(sql_in=sql, sql_out=sql_out, changed=sql_out != sql, flags=flags)
 
 
 def align_all(sql: str, ctx: AlignmentContext) -> str:

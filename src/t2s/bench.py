@@ -82,14 +82,17 @@ def load_dataset(path: str | Path) -> list[Task]:
             raise BenchError(
                 f"dataset entry {index} lacks question, db_id, or SQL/query as text"
             )
+        evidence, difficulty = entry.get("evidence"), entry.get("difficulty")
+        if not all(isinstance(text, (str, type(None))) for text in (evidence, difficulty)):
+            raise BenchError(f"dataset entry {index} has evidence or difficulty not as text")
         tasks.append(
             Task(
                 question_id=str(entry.get("question_id", index)),
                 db_id=db_id,
                 question=question,
                 gold_sql=gold,
-                evidence=str(entry.get("evidence") or ""),
-                difficulty=str(entry.get("difficulty") or "unknown"),
+                evidence=evidence or "",
+                difficulty=difficulty or "unknown",
             )
         )
     return tasks

@@ -26,11 +26,12 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Protocol, runtime_checkable
-
-import requests
+from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 from .errors import GatewayError, read_json_lines
+
+if TYPE_CHECKING:
+    import requests
 
 ENDPOINT_ENV = "T2S_LLM_ENDPOINT"
 API_KEY_ENV = "T2S_LLM_KEY"
@@ -188,6 +189,11 @@ class HttpGateway:
         self.max_retries = max_retries
         self.backoff = backoff
         self._limiter = threading.Semaphore(max_concurrency)
+        # Imported here: only a gateway that talks to a server needs it,
+        # and it is most of the package's import cost.
+        import requests
+
+        self._request_error = requests.RequestException
         self._session = session or requests.Session()
         self._rng = random.Random(0)
 
@@ -266,7 +272,7 @@ class HttpGateway:
                     int(usage.get("prompt_tokens") or 0),
                     int(usage.get("completion_tokens") or 0),
                 )
-            except (requests.RequestException, ValueError) as exc:
+            except (self._request_error, ValueError) as exc:
                 last_error = exc
         raise GatewayError(f"request failed after retries: {last_error}")
 

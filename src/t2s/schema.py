@@ -84,14 +84,24 @@ class TableDef:
     foreign_keys: tuple[tuple[str, str], ...] = ()
     # Case-folded name -> the first column of that name.
     _column_map: dict[str, ColumnDef] = field(init=False, repr=False, compare=False)
+    # That column's name -> the remote of each foreign key from it.
+    _references: dict[str, list[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._column_map = {}
+        self._column_map, self._references = {}, {}
         for col in self.columns:
             self._column_map.setdefault(col.name.casefold(), col)
+        for local, remote in self.foreign_keys:
+            if (col := self.column(local)) is not None:
+                self._references.setdefault(col.name, []).append(remote)
 
     def column(self, name: str) -> Optional[ColumnDef]:
         return self._column_map.get(name.casefold())
+
+    def references(self, name: str) -> list[str]:
+        """The "RemoteTable.remote_column" of each foreign key from `name`."""
+        col = self.column(name)
+        return self._references.get(col.name, []) if col is not None else []
 
 
 @dataclass
@@ -188,6 +198,12 @@ class SchemaCatalog:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SchemaCatalog":
+        def typed(record: dict, key: str, default, kind: type):
+            value = record.get(key, default)
+            if not isinstance(value, kind):
+                raise IngestError(f"malformed catalog dict: {key} {value!r} is not {kind.__name__}")
+            return value
+
         try:
             tables = tuple(
                 TableDef(
@@ -195,9 +211,9 @@ class SchemaCatalog:
                     columns=tuple(
                         ColumnDef(
                             name=c["name"],
-                            declared_type=c.get("declared_type", "other"),
-                            description=c.get("description", ""),
-                            not_null=bool(c.get("not_null", False)),
+                            declared_type=typed(c, "declared_type", "other", str),
+                            description=typed(c, "description", "", str),
+                            not_null=typed(c, "not_null", False, bool),
                         )
                         for c in t["columns"]
                     ),
@@ -208,7 +224,7 @@ class SchemaCatalog:
                 )
                 for t in data["tables"]
             )
-            return cls(db_id=data["db_id"], tables=tables)
+            return cls(db_id=typed(data, "db_id", None, str), tables=tables)
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise IngestError(f"malformed catalog dict: {exc}") from exc
 
@@ -415,10 +431,9 @@ def render_schema(
             notes = [col.declared_type]
             if col.name in table.primary_key:
                 notes.append("primary key")
-            for local, remote in table.foreign_keys:
-                if local.casefold() == col.name.casefold():
-                    rt, _, rc = remote.partition(".")
-                    notes.append(f"references {qualified_name(rt, rc)}")
+            for remote in table._references.get(col.name, ()):
+                rt, _, rc = remote.partition(".")
+                notes.append(f"references {qualified_name(rt, rc)}")
             line = f"{qualified_name(table.name, col.name)} ({', '.join(notes)})"
             if col.description:
                 line += f" -- {col.description}"

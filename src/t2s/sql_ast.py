@@ -19,12 +19,18 @@ words used as plain names (a table literally called "table") still parse.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
 from .errors import SqlSyntaxError
 
 AGGREGATE_FUNCTIONS = {"COUNT", "SUM", "AVG", "MIN", "MAX", "TOTAL", "GROUP_CONCAT"}
+
+# Binary operators below comparison, by how tightly they bind.
+_ARITHMETIC = {"+": 0, "-": 0, "*": 1, "/": 1, "%": 1, "||": 2}
+_COMPARISONS = {"=", "==", "!=", "<>", "<", "<=", ">", ">="}
+# Words that may continue a comparison after its left operand.
+_POSTFIX_WORDS = {"IS", "NOT", "IN", "LIKE", "GLOB", "BETWEEN"}
 
 # Words that terminate an implicit alias position.
 _CLAUSE_WORDS = {
@@ -35,112 +41,84 @@ _CLAUSE_WORDS = {
     "ASC", "DESC", "WHEN", "THEN", "ELSE", "END", "COLLATE",
 }
 
-_HEX_INTEGER = re.compile(r"0[xX][0-9a-fA-F]+")
-
-
 # -- tokens ---------------------------------------------------------------
 
 
-@dataclass
+# One alternative per token kind, tried in this order, after any blanks.
+# A quoted token may not end where its quote is doubled; `bad` is an
+# opening that found no close, `odd` a character that starts no token.
+_TOKEN = re.compile(
+    r"""\s*(?:(?P<skip>--[^\n]*|/\*.*?\*/)
+    |(?P<string>'(?:[^']|'')*'(?!'))
+    |(?P<qident>"(?:[^"]|"")*"(?!")|`(?:[^`]|``)*`(?!`)|\[[^\]]*\])
+    |(?P<bad>/\*|['"`[])
+    |(?P<number>0[xX][0-9a-fA-F]+|(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)
+    |(?P<word>[^\W\d][\w$]*)
+    |(?P<op><=|>=|<>|!=|==|\|\||[-+*/%<>=])
+    |(?P<punct>[(),.;])
+    |(?P<odd>.)|\Z)""",
+    re.VERBOSE | re.DOTALL,
+)
+_UNTERMINATED = {"/*": "unterminated block comment", "[": "unterminated [identifier]"}
+
+
+@dataclass(slots=True)
 class Token:
     type: str  # word | number | string | qident | op | punct | eof
     text: str
-    pos: int
+    pos: int  # where the token starts; for string and qident, where it ends
     quote: str = ""  # for qident: ` " or [
+    upper: str = ""  # for word: the text upper-cased
+
+
+def _stand_ins(sql: str) -> dict[int, str]:
+    """Same-length stand-ins for the characters the pattern would misclass.
+
+    Words start with a letter and numbers are made of digits, as
+    `isalpha` and `isdigit` say; the pattern's classes follow `isalnum`
+    and `isdecimal`.  They differ only on numerics that are not decimal
+    digits and not letters: a digit of those reads as a decimal digit
+    that is not hex ('\u0660'), any other as '$', which may continue a
+    word and starts nothing.
+    """
+    return {
+        ord(ch): "\u0660" if ch.isdigit() else "$"
+        for ch in set(sql)
+        if ch.isnumeric() and not ch.isdecimal() and not ch.isalpha()
+    }
 
 
 def tokenize(sql: str) -> list[Token]:
+    text = sql if sql.isascii() else sql.translate(_stand_ins(sql))
     tokens: list[Token] = []
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if sql.startswith("--", i):
-            j = sql.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if sql.startswith("/*", i):
-            j = sql.find("*/", i + 2)
-            if j < 0:
-                raise SqlSyntaxError("unterminated block comment", position=i)
-            i = j + 2
-            continue
-        if ch == "'":
-            value, i = _scan_quoted(sql, i, "'")
-            tokens.append(Token("string", value, i))
-            continue
-        if ch in "`\"":
-            value, i = _scan_quoted(sql, i, ch)
-            tokens.append(Token("qident", value, i, quote=ch))
-            continue
-        if ch == "[":
-            j = sql.find("]", i + 1)
-            if j < 0:
-                raise SqlSyntaxError("unterminated [identifier]", position=i)
-            tokens.append(Token("qident", sql[i + 1 : j], j + 1, quote="["))
-            i = j + 1
-            continue
-        if ch == "0" and (hexed := _HEX_INTEGER.match(sql, i)):
-            tokens.append(Token("number", hexed.group(), i))
-            i = hexed.end()
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            j = i
-            while j < n and (sql[j].isdigit() or sql[j] == "."):
-                j += 1
-            if j < n and sql[j] in "eE":
-                k = j + 1
-                if k < n and sql[k] in "+-":
-                    k += 1
-                if k < n and sql[k].isdigit():
-                    j = k
-                    while j < n and sql[j].isdigit():
-                        j += 1
-            tokens.append(Token("number", sql[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (sql[j].isalnum() or sql[j] in "_$"):
-                j += 1
-            tokens.append(Token("word", sql[i:j], i))
-            i = j
-            continue
-        two = sql[i : i + 2]
-        if two in ("<=", ">=", "<>", "!=", "==", "||"):
-            tokens.append(Token("op", two, i))
-            i += 2
-            continue
-        if ch in "+-*/%<>=":
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        if ch in "(),.;":
-            tokens.append(Token("punct", ch, i))
-            i += 1
-            continue
-        raise SqlSyntaxError(f"unexpected character {ch!r}", position=i)
-    tokens.append(Token("eof", "", n))
+    for found in _TOKEN.finditer(text):
+        kind = found.lastgroup
+        if kind == "word":
+            start, end = found.span(kind)
+            word = sql[start:end]
+            tokens.append(Token("word", word, start, "", word.upper()))
+        elif kind in ("number", "op", "punct"):
+            start, end = found.span(kind)
+            tokens.append(Token(kind, sql[start:end], start))
+        elif kind == "string":
+            start, end = found.span(kind)
+            tokens.append(Token("string", sql[start + 1 : end - 1].replace("''", "'"), end))
+        elif kind == "qident":
+            start, end = found.span(kind)
+            quote, inner = sql[start], sql[start + 1 : end - 1]
+            if quote != "[":
+                inner = inner.replace(quote + quote, quote)
+            tokens.append(Token("qident", inner, end, quote))
+        elif kind == "odd":
+            pos = found.start(kind)
+            raise SqlSyntaxError(f"unexpected character {sql[pos]!r}", position=pos)
+        elif kind == "bad":
+            pos = found.start(kind)
+            opening = sql[pos : pos + 2] if sql[pos] == "/" else sql[pos]
+            message = _UNTERMINATED.get(opening, f"unterminated {opening}...{opening} literal")
+            raise SqlSyntaxError(message, position=pos)
+    tokens.append(Token("eof", "", len(sql)))
     return tokens
-
-
-def _scan_quoted(sql: str, start: int, quote: str) -> tuple[str, int]:
-    parts: list[str] = []
-    i = start + 1
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == quote:
-            if i + 1 < n and sql[i + 1] == quote:
-                parts.append(quote)
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise SqlSyntaxError(f"unterminated {quote}...{quote} literal", position=start)
 
 
 # -- AST ------------------------------------------------------------------
@@ -149,19 +127,23 @@ def _scan_quoted(sql: str, start: int, quote: str) -> tuple[str, int]:
 class Node:
     """Base class; children are discovered through dataclass fields."""
 
-    def children(self) -> Iterator["Node"]:
-        # A slot-free dataclass's vars() are its fields in declaration order.
-        for value in vars(self).values():
+    # The fields that can hold nodes, in declaration order; set per class
+    # below from the dataclass fields.
+    _child_fields: tuple[str, ...] = ()
+
+    def children(self) -> list["Node"]:
+        out = []
+        for name in self._child_fields:
+            value = getattr(self, name)
             if isinstance(value, Node):
-                yield value
+                out.append(value)
             elif isinstance(value, (list, tuple)):
                 for item in value:
                     if isinstance(item, Node):
-                        yield item
+                        out.append(item)
                     elif isinstance(item, tuple):
-                        for sub in item:
-                            if isinstance(sub, Node):
-                                yield sub
+                        out.extend(sub for sub in item if isinstance(sub, Node))
+        return out
 
 
 @dataclass
@@ -343,21 +325,31 @@ class Compound(Node):
 
 Statement = Union[Select, Compound]
 
+# Text and flag fields never hold a node.
+_LEAF_TYPES = {"str", "bool", "Optional[str]"}
+for _cls in Node.__subclasses__():
+    _cls._child_fields = tuple(f.name for f in fields(_cls) if f.type not in _LEAF_TYPES)
 
-def walk(node: Node) -> Iterator[Node]:
-    """Yield `node` and every descendant, subqueries included."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
+_SCOPES = (Subquery, Exists, SubquerySource, Cte)
+
+
+def walk(node: Node, local: bool = False) -> Iterator[Node]:
+    """Yield `node` and every descendant, subqueries included, in preorder.
+
+    A node's children are read when the walk resumes after yielding it,
+    so a caller may rewrite the node it was just given.
+    """
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node._child_fields and not (local and isinstance(node, _SCOPES)):
+            stack.extend(reversed(node.children()))
 
 
 def walk_local(node: Node) -> Iterator[Node]:
     """Like `walk` but does not descend into nested select scopes."""
-    yield node
-    if isinstance(node, (Subquery, Exists, SubquerySource, Cte)):
-        return
-    for child in node.children():
-        yield from walk_local(child)
+    return walk(node, local=True)
 
 
 def is_aggregate_call(node: Node) -> bool:
@@ -375,14 +367,15 @@ def contains_aggregate(expr: Node) -> bool:
 class _Parser:
     def __init__(self, sql: str):
         self.sql = sql
+        # Two more eof tokens, so `peek` may look two past the end.
         self.tokens = tokenize(sql)
+        self.tokens += self.tokens[-1:] * 2
         self.i = 0
 
     # token helpers
 
     def peek(self, offset: int = 0) -> Token:
-        j = min(self.i + offset, len(self.tokens) - 1)
-        return self.tokens[j]
+        return self.tokens[self.i + offset]
 
     def advance(self) -> Token:
         token = self.tokens[self.i]
@@ -394,12 +387,12 @@ class _Parser:
         return SqlSyntaxError(message, position=self.peek().pos)
 
     def at_word(self, *words: str) -> bool:
-        token = self.peek()
-        return token.type == "word" and token.text.upper() in words
+        # Only a word token has upper-cased text to match.
+        return self.tokens[self.i].upper in words
 
     def take_word(self, *words: str) -> bool:
-        if self.at_word(*words):
-            self.advance()
+        if self.tokens[self.i].upper in words:
+            self.i += 1
             return True
         return False
 
@@ -408,12 +401,13 @@ class _Parser:
             raise self.error(f"expected {word}, found {self.peek().text!r}")
 
     def at_punct(self, ch: str) -> bool:
-        token = self.peek()
+        token = self.tokens[self.i]
         return token.type == "punct" and token.text == ch
 
     def take_punct(self, ch: str) -> bool:
-        if self.at_punct(ch):
-            self.advance()
+        token = self.tokens[self.i]
+        if token.type == "punct" and token.text == ch:
+            self.i += 1
             return True
         return False
 
@@ -422,7 +416,7 @@ class _Parser:
             raise self.error(f"expected {ch!r}, found {self.peek().text!r}")
 
     def at_op(self, *ops: str) -> bool:
-        token = self.peek()
+        token = self.tokens[self.i]
         return token.type == "op" and token.text in ops
 
     # identifiers
@@ -441,7 +435,7 @@ class _Parser:
         token = self.peek()
         if token.type == "qident":
             return True
-        return token.type == "word" and token.text.upper() not in _CLAUSE_WORDS
+        return token.type == "word" and token.upper not in _CLAUSE_WORDS
 
     # statements
 
@@ -468,7 +462,7 @@ class _Parser:
         selects = [self.parse_core()]
         ops: list[str] = []
         while self.at_word("UNION", "INTERSECT", "EXCEPT"):
-            op = self.advance().text.upper()
+            op = self.advance().upper
             if op == "UNION" and self.take_word("ALL"):
                 op = "UNION ALL"
             ops.append(op)
@@ -635,8 +629,7 @@ class _Parser:
 
     def parse_and(self) -> Node:
         left = self.parse_not()
-        while self.at_word("AND"):
-            self.advance()
+        while self.take_word("AND"):
             left = Binary("AND", left, self.parse_not())
         return left
 
@@ -649,21 +642,24 @@ class _Parser:
         return self.parse_comparison()
 
     def parse_comparison(self) -> Node:
-        left = self.parse_additive()
+        left = self.parse_arithmetic()
         while True:
-            if self.at_op("=", "==", "!=", "<>", "<", "<=", ">", ">="):
+            token = self.tokens[self.i]
+            if token.type == "op" and token.text in _COMPARISONS:
                 op = self.advance().text
                 if op == "==":
                     op = "="
-                left = Binary(op, left, self.parse_additive())
+                left = Binary(op, left, self.parse_arithmetic())
                 continue
+            if token.upper not in _POSTFIX_WORDS:
+                return left
             if self.at_word("IS"):
                 self.advance()
                 negated = self.take_word("NOT")
                 if self.take_word("NULL"):
                     left = IsNull(expr=left, negated=negated)
                 else:
-                    left = Binary("IS NOT" if negated else "IS", left, self.parse_additive())
+                    left = Binary("IS NOT" if negated else "IS", left, self.parse_arithmetic())
                 continue
             negated = False
             if self.at_word("NOT") and self.peek(1).text.upper() in (
@@ -675,17 +671,17 @@ class _Parser:
                 left = self._parse_in(left, negated)
                 continue
             if self.at_word("LIKE", "GLOB"):
-                op = self.advance().text.upper()
-                pattern = self.parse_additive()
+                op = self.advance().upper
+                pattern = self.parse_arithmetic()
                 escape = None
                 if self.take_word("ESCAPE"):
-                    escape = self.parse_additive()
+                    escape = self.parse_arithmetic()
                 left = Like(op=op, expr=left, pattern=pattern, negated=negated, escape=escape)
                 continue
             if self.take_word("BETWEEN"):
-                low = self.parse_additive()
+                low = self.parse_arithmetic()
                 self.expect_word("AND")
-                high = self.parse_additive()
+                high = self.parse_arithmetic()
                 left = Between(expr=left, low=low, high=high, negated=negated)
                 continue
             if negated:
@@ -706,26 +702,17 @@ class _Parser:
         self.expect_punct(")")
         return InExpr(expr=left, items=items, negated=negated)
 
-    def parse_additive(self) -> Node:
-        left = self.parse_multiplicative()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            left = Binary(op, left, self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self) -> Node:
-        left = self.parse_concat()
-        while self.at_op("*", "/", "%"):
-            op = self.advance().text
-            left = Binary(op, left, self.parse_concat())
-        return left
-
-    def parse_concat(self) -> Node:
+    def parse_arithmetic(self, level: int = 0) -> Node:
+        """Arithmetic and concatenation: operators of `level` and tighter,
+        each level left-associative (precedence climbing)."""
         left = self.parse_unary()
-        while self.at_op("||"):
-            self.advance()
-            left = Binary("||", left, self.parse_unary())
-        return left
+        while True:
+            token = self.tokens[self.i]
+            tighter = _ARITHMETIC.get(token.text, -1) if token.type == "op" else -1
+            if tighter < level:
+                return left
+            self.i += 1
+            left = Binary(token.text, left, self.parse_arithmetic(tighter + 1))
 
     def parse_unary(self) -> Node:
         if self.at_op("-", "+"):
@@ -754,10 +741,14 @@ class _Parser:
             self.advance()
             return self._column_tail(token.text, token.quote)
         if token.type == "word":
-            upper = token.text.upper()
+            upper = token.upper
             if upper == "NULL":
                 self.advance()
                 return NullLit()
+            if upper == "NOT":
+                # SQLite reads a NOT here, before NULL or after an operator,
+                # as a prefix; read as a column it would be emitted wrong.
+                raise self.error("NOT where an operand is expected")
             if upper == "CASE":
                 return self._parse_case()
             if upper == "CAST":
@@ -867,21 +858,39 @@ def emit(node: Node) -> str:
 
 
 def _emit(node: Node) -> str:
-    if isinstance(node, NumberLit):
-        return node.text
-    if isinstance(node, StringLit):
-        return "'" + node.value.replace("'", "''") + "'"
-    if isinstance(node, NullLit):
-        return "NULL"
+    # The commonest nodes first.
     if isinstance(node, ColumnRef):
         column = _quote_text(node.column, node.column_quote)
         if node.table is None:
             return column
         return _quote_text(node.table, node.table_quote) + "." + column
-    if isinstance(node, Star):
-        if node.table is None:
-            return "*"
-        return _quote_text(node.table, node.table_quote) + ".*"
+    if isinstance(node, Binary):
+        return f"{_emit(node.left)} {node.op} {_emit(node.right)}"
+    if isinstance(node, StringLit):
+        return "'" + node.value.replace("'", "''") + "'"
+    if isinstance(node, NumberLit):
+        return node.text
+    if isinstance(node, SelectItem):
+        out = _emit(node.expr)
+        if node.alias:
+            out += f" AS {_quote_text(node.alias, node.alias_quote)}"
+        return out
+    if isinstance(node, TableRef):
+        out = _quote_text(node.name, node.name_quote)
+        if node.alias:
+            out += f" AS {_quote_text(node.alias, node.alias_quote)}"
+        return out
+    if isinstance(node, Join):
+        source = _emit(node.source)
+        if node.join_type == "COMMA":
+            return f", {source}"
+        out = f"{node.join_type} JOIN {source}"
+        if node.on is not None:
+            out += f" ON {_emit(node.on)}"
+        elif node.using:
+            names = ", ".join(_quote_text(n, q) for n, q in node.using)
+            out += f" USING ({names})"
+        return out
     if isinstance(node, FuncCall):
         if node.star:
             return f"{node.name}(*)"
@@ -889,8 +898,19 @@ def _emit(node: Node) -> str:
         if node.distinct:
             inner = "DISTINCT " + inner
         return f"{node.name}({inner})"
-    if isinstance(node, Binary):
-        return f"{_emit(node.left)} {node.op} {_emit(node.right)}"
+    if isinstance(node, Select):
+        return _emit_select(node)
+    if isinstance(node, OrderTerm):
+        out = _emit(node.expr)
+        if node.direction:
+            out += f" {node.direction}"
+        return out
+    if isinstance(node, NullLit):
+        return "NULL"
+    if isinstance(node, Star):
+        if node.table is None:
+            return "*"
+        return _quote_text(node.table, node.table_quote) + ".*"
     if isinstance(node, Unary):
         if node.op.upper() == "NOT":
             return f"NOT {_emit(node.operand)}"
@@ -935,44 +955,16 @@ def _emit(node: Node) -> str:
         return f"{keyword} ({_emit(node.select)})"
     if isinstance(node, Subquery):
         return f"({_emit(node.select)})"
-    if isinstance(node, SelectItem):
-        out = _emit(node.expr)
-        if node.alias:
-            out += f" AS {_quote_text(node.alias, node.alias_quote)}"
-        return out
-    if isinstance(node, TableRef):
-        out = _quote_text(node.name, node.name_quote)
-        if node.alias:
-            out += f" AS {_quote_text(node.alias, node.alias_quote)}"
-        return out
     if isinstance(node, SubquerySource):
         out = f"({_emit(node.select)})"
         if node.alias:
             out += f" AS {_quote_text(node.alias, node.alias_quote)}"
-        return out
-    if isinstance(node, Join):
-        source = _emit(node.source)
-        if node.join_type == "COMMA":
-            return f", {source}"
-        out = f"{node.join_type} JOIN {source}"
-        if node.on is not None:
-            out += f" ON {_emit(node.on)}"
-        elif node.using:
-            names = ", ".join(_quote_text(n, q) for n, q in node.using)
-            out += f" USING ({names})"
-        return out
-    if isinstance(node, OrderTerm):
-        out = _emit(node.expr)
-        if node.direction:
-            out += f" {node.direction}"
         return out
     if isinstance(node, Cte):
         out = _quote_text(node.name, "")
         if node.columns:
             out += "(" + ", ".join(_quote_text(n, q) for n, q in node.columns) + ")"
         return f"{out} AS ({_emit(node.select)})"
-    if isinstance(node, Select):
-        return _emit_select(node)
     if isinstance(node, Compound):
         return _emit_compound(node)
     raise TypeError(f"cannot emit node of type {type(node).__name__}")

@@ -91,6 +91,26 @@ def test_load_dataset_rejects_a_field_that_is_not_text(tmp_path, key):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("evidence", {"a": [1]}), ("evidence", 5), ("difficulty", 7), ("difficulty", ["hard"]),
+])
+def test_load_dataset_rejects_evidence_or_difficulty_not_as_text(tmp_path, key, value):
+    entry = {"question": "Q?", "db_id": "x", "SQL": "SELECT 1", key: value}
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps([entry]))
+    with pytest.raises(BenchError, match="entry 0"):
+        load_dataset(path)
+
+
+def test_load_dataset_null_evidence_and_difficulty_keep_their_defaults(tmp_path):
+    entry = {"question": "Q?", "db_id": "x", "SQL": "SELECT 1", "evidence": None,
+             "difficulty": None}
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps([entry]))
+    task = load_dataset(path)[0]
+    assert (task.evidence, task.difficulty) == ("", "unknown")
+
+
 def test_load_dataset_rejects_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('[{"db_id": "x", "question": "Caf\u00e9?", "SQL": "SELECT 1"}]'.encode("latin-1"))

@@ -1,7 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,3 +59,20 @@ def test_every_traced_name_resolves(monkeypatch):
         if class_name:
             owner = getattr(owner, class_name)
         assert attr in owner.__dict__, f"{owner_path} has no {attr}"
+
+
+def test_import_leaves_requests_out():
+    """Only building an HttpGateway imports `requests`."""
+    code = (
+        "import importlib, pkgutil, sys, t2s\n"
+        "for module in pkgutil.iter_modules(t2s.__path__):\n"
+        "    importlib.import_module('t2s.' + module.name)\n"
+        "print('requests' in sys.modules)\n"
+        "t2s.HttpGateway(endpoint='http://localhost:9')\n"
+        "print('requests' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "True"]

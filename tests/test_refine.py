@@ -284,6 +284,15 @@ def test_answer_key_rounds_floats():
     assert answer_key(((0.30000000004,),)) == answer_key(((0.3,),))
 
 
+def test_answer_key_keeps_six_decimals():
+    # Six decimals tell these apart; five would merge them.
+    assert answer_key(((0.123456,),)) != answer_key(((0.123457,),))
+    assert answer_key((("0.123456",),)) != answer_key((("0.123457",),))
+    # Jitter below the sixth decimal still merges.
+    assert answer_key(((0.123456 + 1e-7,),)) == answer_key(((0.123456,),))
+    assert answer_key(((0.123456 - 1e-7,),)) == answer_key(((0.123456,),))
+
+
 def test_answer_key_coerces_numeric_strings():
     assert answer_key((("42",),)) == answer_key(((42,),))
     assert answer_key((("x",),)) != answer_key((("y",),))

@@ -112,6 +112,20 @@ def test_round_trip_through_dict(clinical_catalog):
     assert [t.name for t in clone.tables] == [t.name for t in clinical_catalog.tables]
 
 
+@pytest.mark.parametrize("where,key,value", [
+    ("catalog", "db_id", 5),
+    ("column", "description", 5),
+    ("column", "declared_type", ["text"]),
+    ("column", "not_null", 1),
+])
+def test_from_dict_refuses_a_wrongly_typed_value(clinical_catalog, where, key, value):
+    data = clinical_catalog.to_dict()
+    target = data if where == "catalog" else data["tables"][0]["columns"][0]
+    target[key] = value
+    with pytest.raises(IngestError, match=key):
+        SchemaCatalog.from_dict(data)
+
+
 @pytest.mark.parametrize("name", ["a#b.sqlite", "c?d.sqlite", "e%20f.sqlite", "g h.sqlite"])
 def test_every_reader_opens_the_named_file_read_only(clinical_db, tmp_path, name):
     # A path spliced into a `file:` URI unescaped loses everything from a
