@@ -13,8 +13,10 @@ model.  `SparseRows` stores such vectors for value search and few-shot
 selection; `embed_parts` fills it from many texts, the default embedder's
 in one vectorised trigram pass per block of texts, with no dense vectors
 and each distinct trigram hashed once per call.
-A search's probes come from `probe_nonzeros`, which works each distinct
-text out once per `ProbeTable`, the default embedder's in plain Python.
+`SparseRows.best_scores` takes a search's probes stacked as arrays
+(`Probes`).  `block_probes` stacks the probes of many searches from one
+`embed_parts` call; `probe_nonzeros` works out a few texts one by one,
+the default embedder's in plain Python.
 """
 
 from __future__ import annotations
@@ -40,8 +42,10 @@ _BLOCK = 256
 _KEY = 0x110000  # past the last code point: (c0*K + c1)*K + c2 keys a trigram
 Part = tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, dims, values of non-zeros
 _EMPTY: Part = (np.empty(0, np.int32), np.empty(0, np.uint8), np.empty(0))
-Probe = tuple[Sequence[int], Sequence[float]]  # sorted non-zero dimensions, their values
-ProbeTable = dict[str, Optional[Probe]]  # text -> its non-zeros; None: does not embed
+Probe = tuple[np.ndarray, np.ndarray]  # sorted non-zero dimensions, their values
+# Probes stacked: their number, then for every non-zero of each probe in
+# turn, the probe's position, the dimension and the value.
+Probes = tuple[int, np.ndarray, np.ndarray, np.ndarray]
 
 
 @runtime_checkable
@@ -171,22 +175,46 @@ def _probe(embedder: Embedder, text: str) -> Optional[Probe]:
     dims = sorted(counts)
     # A sum of squared integer counts is exact, so this is `embed`'s norm.
     norm = math.sqrt(sum(count * count for count in counts.values()))
-    return dims, [counts[d] / norm for d in dims]
+    return np.array(dims, dtype=np.intp), np.array([counts[d] / norm for d in dims])
 
 
-def probe_nonzeros(
-    embedder: Embedder, texts: Iterable[str], table: Optional[ProbeTable] = None
-) -> list[Probe]:
-    """The non-zeros of each text that embeds, equal to the bit to those of
-    `embed`; each distinct text is worked out once per table."""
-    table = {} if table is None else table
-    probes = []
-    for text in texts:
-        if text not in table:
-            table[text] = _probe(embedder, text)
-        if table[text] is not None:
-            probes.append(table[text])
-    return probes
+def probe_nonzeros(embedder: Embedder, texts: Iterable[str]) -> Probes:
+    """The non-zeros of the texts that embed, one by one, stacked: equal, to
+    the bit, to those of `embed`."""
+    probes = [probe for probe in (_probe(embedder, text) for text in texts) if probe is not None]
+    if not probes:
+        return 0, np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
+    return (
+        len(probes),
+        np.repeat(np.arange(len(probes)), [len(dims) for dims, _ in probes]),
+        np.concatenate([dims for dims, _ in probes]),
+        np.concatenate([values for _, values in probes]),
+    )
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices of the ranges [start, start + length), one range after another."""
+    ends = np.cumsum(lengths)
+    return np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
+
+
+def block_probes(embedder: Embedder, groups: Sequence[Sequence[str]]) -> list[Probes]:
+    """Each group's probes, stacked, from one `embed_parts` call over the
+    groups' distinct texts: equal, to the bit, to `probe_nonzeros` of the group."""
+    texts = list(dict.fromkeys(chain.from_iterable(groups)))
+    parts, kept = embed_parts(embedder, texts)
+    rows, dims, values = (np.concatenate(arrays) for arrays in zip(*parts, _EMPTY))
+    row_of = {texts[i]: row for row, i in enumerate(kept)}
+    # Row r's non-zeros are at [starts[r], starts[r + 1]).
+    starts = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(kept)))))
+    stacked = []
+    for group in groups:
+        picked = np.array([row_of[text] for text in group if text in row_of], dtype=np.intp)
+        lengths = starts[picked + 1] - starts[picked]
+        at = _ranges(starts[picked], lengths)
+        which = np.repeat(np.arange(len(picked)), lengths)
+        stacked.append((len(picked), which, dims[at], values[at]))
+    return stacked
 
 
 class SparseRows:
@@ -204,30 +232,22 @@ class SparseRows:
         by_dim = np.argsort(dims.astype(np.min_scalar_type(dim), copy=False), kind="stable")
         self.rows, self.values = rows[by_dim], values[by_dim]
 
-    def max_scores(self, probes: np.ndarray) -> np.ndarray:
-        """Each row's highest dot product with any probe (a row of `probes`)."""
-        nonzero = [np.flatnonzero(probe) for probe in probes]
-        return self.best_scores([(dims, probe[dims]) for dims, probe in zip(nonzero, probes)])
-
-    def best_scores(self, probes: Sequence[Probe]) -> np.ndarray:
-        """Each row's highest dot product with any probe, given by its
-        sorted non-zero dimensions and their values.
+    def best_scores(self, probes: Probes) -> np.ndarray:
+        """Each row's highest dot product with any of the (one or more) probes.
 
         Only the rows that share a non-zero dimension with a probe are
         read; the rest score exactly 0.0 against it.  Each dot product is
         summed over dimensions in ascending order, so it equals, to the
         bit, the sum a plain loop over the dense vectors gives.
         """
-        which = np.repeat(np.arange(len(probes)), [len(dims) for dims, _ in probes])
+        count, which, dims, values = probes
         # As intp: `dims + 1` in a narrower type could wrap.
-        dims = np.array(list(chain.from_iterable(dims for dims, _ in probes)), dtype=np.intp)
-        values = np.array(list(chain.from_iterable(values for _, values in probes)))
+        dims = dims.astype(np.intp)
         starts = self.starts[dims]
         lengths = self.starts[dims + 1] - starts
-        ends = np.cumsum(lengths)
         # Every stored value of every (probe, dimension) pair, in that order.
-        at = np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
+        at = _ranges(starts, lengths)
         bins = self.rows[at] + np.repeat(which * self.n, lengths)
         weights = self.values[at] * np.repeat(values, lengths)
-        scores = np.bincount(bins, weights, minlength=len(probes) * self.n)
-        return scores.reshape(len(probes), self.n).max(axis=0)
+        scores = np.bincount(bins, weights, minlength=count * self.n)
+        return scores.reshape(count, self.n).max(axis=0)

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .embedding import ProbeTable
+from .embedding import Probes
 from .errors import GatewayError
 from .fewshot import (
     MARK_COLUMNS,
@@ -113,14 +113,14 @@ def retrieve_values(
     index: ValueIndex,
     entities: Sequence[Entity],
     config: Optional[RetrievalConfig] = None,
-    probes: Optional[ProbeTable] = None,
+    probes: Optional[dict[str, Probes]] = None,
 ) -> list[ValueHit]:
     """Search the index per entity and merge, best similarity first.
 
     The same stored cell found through two entities is kept once at its
     best score.  Scores equal to 12 decimals keep first-seen order.  The
     merged list is re-cut at top_k so downstream prompts see a bounded,
-    globally ranked set.  `probes` is shared by every search.
+    globally ranked set.  `probes` is `ValueIndex.probes` of the searches.
     """
     config = config or RetrievalConfig()
     shared = {} if probes is None else {"probes": probes}
@@ -146,7 +146,7 @@ def filter_columns(
     entities: Sequence[Entity],
     columns_section: str,
     config: Optional[RetrievalConfig] = None,
-    probes: Optional[ProbeTable] = None,
+    probes: Optional[dict[str, Probes]] = None,
 ) -> ColumnSelection:
     """Union of model-suggested and vector-retrieved columns.
 
@@ -236,7 +236,11 @@ def run_extraction(
             sections = {}
     result = ExtractionResult(reason=sections.get(MARK_REASON, ""))
     result.entities = extract_entities(question, sections.get(MARK_VALUES, ""))
-    probes: ProbeTable = {}  # this question's probe texts, each embedded once
+    # The probes of every search below, embedded in one block.
+    searched = [e.text for e in result.entities] if retrieve else []
+    if filter_cols:
+        searched += [question] + [e.text for e in result.entities]
+    probes = index.probes(searched) if index is not None else None
     if retrieve and index is not None and result.entities:
         result.value_hits = retrieve_values(index, result.entities, retrieval, probes)
     if filter_cols:

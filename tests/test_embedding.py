@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from t2s import TrigramEmbedder
 from t2s.embedding import (
-    _NOT_ALNUM, EMBEDDING_DIM, SparseRows, cosine, dense_parts, probe_nonzeros, unit_normalize,
+    _NOT_ALNUM, EMBEDDING_DIM, SparseRows, block_probes, cosine, dense_parts, probe_nonzeros,
+    unit_normalize,
 )
 from t2s.errors import EmbeddingError
 
@@ -114,6 +115,17 @@ def test_case_insensitive(text):
     assert cosine(e.embed(text), e.embed(text.upper())) == pytest.approx(1.0)
 
 
+def _stacked(probes):
+    """Dense probes, stacked as `SparseRows.best_scores` takes them."""
+    nonzero = [np.flatnonzero(probe) for probe in probes]
+    return (
+        len(probes),
+        np.repeat(np.arange(len(probes)), [len(dims) for dims in nonzero]),
+        np.concatenate(nonzero),
+        np.concatenate([probe[dims] for probe, dims in zip(probes, nonzero)]),
+    )
+
+
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
 def test_sparse_rows_scores_as_dense_loop(n):
     # Row counts on both sides of the build's block size.
@@ -132,7 +144,8 @@ def test_sparse_rows_scores_as_dense_loop(n):
             sums.append(total)
         want.append(max(sums))
     assert store.n == n
-    assert store.max_scores(probes).tolist() == want
+    got = store.best_scores(_stacked(probes))
+    assert got.tolist() == want
 
 
 _probe_texts = st.one_of(
@@ -143,26 +156,44 @@ _probe_texts = st.one_of(
 )
 
 
+class _DenseTrigrams:
+    """A `TrigramEmbedder` behind another type: its texts go the dense path."""
+
+    def __init__(self, dim):
+        self._inner = TrigramEmbedder(dim)
+        self.dim = dim
+
+    def embed(self, text):
+        return self._inner.embed(text)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_probe_texts, max_size=4), st.sampled_from([1, 7, 256, 512]))
-def test_probe_nonzeros_equal_those_of_embed_bit_for_bit(texts, dim):
-    embedder = TrigramEmbedder(dim)
-    table = {}
-    # Every text twice: the second time it is read from the table.
-    got = probe_nonzeros(embedder, texts + texts, table)
+@given(st.lists(_probe_texts, max_size=4), st.sampled_from([1, 7, 256, 512]), st.booleans())
+def test_probe_nonzeros_equal_those_of_embed_bit_for_bit(texts, dim, dense):
+    embedder = _DenseTrigrams(dim) if dense else TrigramEmbedder(dim)
+    # Every text twice, as the n-grams of a question's searches repeat.
+    texts = texts + texts
     want = []
-    for text in texts + texts:
+    for text in texts:
         try:
-            vector = embedder.embed(text)
+            want.append(embedder.embed(text))
         except EmbeddingError:
             continue
-        (dims,) = np.nonzero(vector)
-        want.append((dims, vector[dims]))
-    assert len(got) == len(want)
-    for (got_dims, got_values), (dims, values) in zip(got, want):
-        assert list(got_dims) == dims.tolist()
-        assert np.array(got_values).tobytes() == values.tobytes()
-    assert set(table) == set(texts)
+    count, which, dims, values = probe_nonzeros(embedder, texts)
+    assert count == len(want)
+    if want:
+        assert which.tolist() == _stacked(want)[1].tolist()
+        assert dims.tolist() == _stacked(want)[2].tolist()
+        assert values.tobytes() == _stacked(want)[3].tobytes()
+    # One block for two searches: each search's probes are those of its
+    # texts worked out one by one.
+    groups = [texts, texts[::-1]]
+    for group, stacked in zip(groups, block_probes(embedder, groups)):
+        count, which, dims, values = probe_nonzeros(embedder, group)
+        assert stacked[0] == count
+        assert stacked[1].tolist() == which.tolist()
+        assert stacked[2].tolist() == dims.tolist()
+        assert stacked[3].tobytes() == values.tobytes()
 
 
 def test_sparse_probes_score_as_dense_ones_at_the_last_dimension():
@@ -174,5 +205,11 @@ def test_sparse_probes_score_as_dense_ones_at_the_last_dimension():
     probe = np.zeros(256)
     probe[[0, 17, 255]] = (0.5, 0.25, 1.0)
     dims = np.array([0, 17, 255], dtype=np.uint8)
-    got = store.best_scores([(dims, probe[dims])])
-    assert got.tolist() == store.max_scores(probe[np.newaxis]).tolist()
+    got = store.best_scores((1, np.zeros(3, np.intp), dims, probe[dims]))
+    want = []
+    for row in dense.tolist():
+        total = 0.0
+        for p, v in zip(probe.tolist(), row):
+            total += p * v
+        want.append(total)
+    assert got.tolist() == want

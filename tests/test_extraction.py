@@ -299,19 +299,26 @@ def test_extraction_prompt_appends_evidence():
 
 def test_run_extraction_embeds_each_probe_text_once(clinical_catalog, clinical_index,
                                                      monkeypatch):
-    # Both entities' n-grams feed value search and then column search.
+    # Both entities' n-grams feed value search and then column search; all
+    # of them, and the question's, go through one block before any search.
     reply = REPLY.replace("#values: F", "#values: F, female sex")
-    embedded = []
-    original = embedding._probe
+    blocks = []
+    original = embedding.embed_parts
 
-    def counting(embedder, text):
-        embedded.append(text)
-        return original(embedder, text)
+    def counting(embedder, texts):
+        blocks.append(list(texts))
+        return original(embedder, texts)
 
-    monkeypatch.setattr(embedding, "_probe", counting)
+    def one_by_one(embedder, text):
+        raise AssertionError(f"{text!r} was embedded outside the block")
+
+    monkeypatch.setattr(embedding, "embed_parts", counting)
+    monkeypatch.setattr(embedding, "_probe", one_by_one)
     question = "How many female patients are there?"
     result = run_extraction(question, clinical_catalog, clinical_index,
                             ScriptedGateway({"extraction:q": reply}), stage="extraction:q")
     assert [e.text for e in result.entities] == ["F", "female sex"]
-    assert sorted(embedded) == sorted(
+    assert result.value_hits and result.selection is not None
+    (block,) = blocks
+    assert sorted(block) == sorted(
         {probe for text in (question, "F", "female sex") for probe in _word_ngrams(text)})

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from t2s import ScriptedGateway
+from t2s import ScriptedGateway, generation
 from t2s.errors import CotParseError, GenerationError
 from t2s.gateway import LlmConfig
 from t2s.generation import (
@@ -203,6 +203,18 @@ def test_generate_keeps_parseable_in_order():
     )
     assert [c.sql for c in result.candidates] == ["SELECT 1", "SELECT 2"]
     assert result.parse_failures == 1
+
+
+def test_generate_parses_each_distinct_reply_once(monkeypatch):
+    parsed = []
+    original = generation.parse_cot
+    monkeypatch.setattr(generation, "parse_cot", lambda text: parsed.append(text) or original(text))
+    replies = ["#SQL: SELECT 1", "no sql here", "#SQL: SELECT 2", "#SQL: SELECT 1", "no sql here"]
+    gw = ScriptedGateway({"cot:q": replies})
+    result = generate_candidates(gw, "prompt", LlmConfig(n_samples=5), stage="cot:q")
+    assert sorted(parsed) == sorted(set(replies))
+    assert [c.sql for c in result.candidates] == ["SELECT 1", "SELECT 2", "SELECT 1"]
+    assert result.parse_failures == 2
 
 
 def test_generate_requests_n_samples_at_temperature():

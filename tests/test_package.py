@@ -76,3 +76,20 @@ def test_import_leaves_requests_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_import_leaves_hashlib_out():
+    """Only `prompt_key` imports `hashlib`, which costs about 3.6 MB."""
+    code = (
+        "import importlib, pkgutil, sys, t2s\n"
+        "for module in pkgutil.iter_modules(t2s.__path__):\n"
+        "    importlib.import_module('t2s.' + module.name)\n"
+        "print('hashlib' in sys.modules)\n"
+        "t2s.gateway.prompt_key('SELECT 1')\n"
+        "print('hashlib' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "True"]

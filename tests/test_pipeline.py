@@ -272,6 +272,32 @@ def test_pipeline_winner_of_one_distinct_sql_is_its_first_member(e2e):
     assert winners == {1}
 
 
+@pytest.mark.parametrize("delay_s", [0, None], ids=["fast", "slow"])
+def test_pipeline_starts_a_chain_only_for_a_failing_candidate(e2e, slow_gateway, monkeypatch,
+                                                              delay_s):
+    bad = "SELECT COUNT(PatientID) FROM Patient WHERE SEX = 'F'"
+    samples = [FEMALE, bad, FEMALE, bad]
+    replies = {"cot:t": [f"#SQL: {sql}" for sql in samples],
+               **{f"correction:t:c{i}:round1": f"#SQL: {FEMALE}" for i in (1, 3)}}
+    gateway = slow_gateway(replies) if delay_s is None else slow_gateway(replies, delay_s)
+    chains = []
+    original = t2s.pipeline.correct
+
+    def counting(question, sql, outcome, *args, stage_prefix, **kwargs):
+        chains.append(stage_prefix)
+        return original(question, sql, outcome, *args, stage_prefix=stage_prefix, **kwargs)
+
+    monkeypatch.setattr(t2s.pipeline, "correct", counting)
+    config = e2e.config.with_(n_candidates=len(samples), no_extraction=True)
+    result = run_pipeline("How many patients are female?", e2e.make_deps(gateway), config,
+                          question_id="t")
+    assert sorted(chains) == ["correction:t:c1", "correction:t:c3"]
+    assert [c.sql for c in result.candidates] == [FEMALE] * 4
+    assert [c.correction_rounds for c in result.candidates] == [0, 1, 0, 1]
+    assert result.trace["correction"] == {"attempted": 2, "changed": 2, "flags": [[]] * 4}
+    assert result.rows == ((3,),)
+
+
 # -- correction chains on a pool when the model is slow -------------------
 
 Q10 = "How many distinct patients had a lab test in 1996?"

@@ -389,6 +389,22 @@ def test_vote_equivalent_rows_in_different_order_agree():
     assert sorted(result.group_indices) == [0, 1]
 
 
+def test_vote_keys_each_shared_outcome_once(monkeypatch):
+    keyed = []
+    original = t2s.refine.answer_key
+    monkeypatch.setattr(t2s.refine, "answer_key", lambda rows: keyed.append(rows) or original(rows))
+    one = ExecutionOutcome(status="Rows", rows=((1,),))
+    two = ExecutionOutcome(status="Rows", rows=((2,),))
+    # A third outcome equal to the first, but its own object: keyed on its own.
+    candidates = [VoteCandidate(sql, outcome) for sql, outcome in (
+        ("a", one), ("b", two), ("a", one), ("b", two), ("a", one),
+        ("c", ExecutionOutcome(status="Rows", rows=((1,),))),
+    )]
+    result = vote_detail(candidates)
+    assert keyed == [((1,),), ((2,),), ((1,),)]
+    assert result.group_indices == [0, 2, 4, 5]
+
+
 def test_vote_empty_input_raises():
     with pytest.raises(VoteError):
         vote([])

@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import sqlite3
+import string
 import weakref
 import zlib
 from itertools import groupby
@@ -625,23 +626,47 @@ def test_top_k_zero_returns_nothing(clinical_index, clinical_catalog):
     assert clinical_index.search_columns("Date", clinical_catalog, cfg).pairs() == ()
 
 
-def test_a_shared_probe_table_changes_no_hit(clinical_index, clinical_catalog, stub_index):
-    stub, stub_catalog, words = stub_index
-    config = RetrievalConfig(threshold=0.3)
-    cases = (
-        (clinical_index, clinical_catalog, ["F", "female patients", "1991 05 06", "Ig A", "?"],
-         ("Patient", "First Date")),
-        (stub, stub_catalog, [words[0], f"{words[1]} {words[0]}", words[2].upper(), "zz"],
-         ("Person", "name")),
+_block_texts = st.one_of(
+    st.text(max_size=24),  # any code points, the empty text included
+    st.text(alphabet=string.punctuation + " \t", max_size=8),  # symbols and blanks only
+    st.sampled_from(["ß", "İstanbul", "ﬁle", "日本語", "ＡＢＣ", "   ", "F", "female patients"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(queries=st.lists(_block_texts, max_size=5), signed=st.booleans())
+@example(queries=["F", "female patients", "1991 05 06", "Ig A", "?"], signed=False)
+@example(queries=["kalo", "mi kalo", "RUTA", "zz"], signed=True)
+def test_a_probe_block_equals_embed_and_changes_no_hit(
+    clinical_index, clinical_catalog, stub_index, queries, signed
+):
+    # The stub index's embedder is not a `TrigramEmbedder`, so its block
+    # goes the dense path; queries repeat, and so do their n-grams.
+    index, catalog, column = (
+        (stub_index[0], stub_index[1], ("Person", "name")) if signed
+        else (clinical_index, clinical_catalog, ("Patient", "First Date"))
     )
-    for index, catalog, queries, column in cases:
-        value_table, column_table = {}, {}
-        for query in queries + queries:
-            assert index.search_values(query, config, probes=value_table) == (
-                index.search_values(query, config))
-            assert index.search_values(query, config, column, value_table) == (
-                index.search_values(query, config, column))
-            assert index.search_columns(query, catalog, config, column_table) == (
-                index.search_columns(query, catalog, config))
-        probes = {probe for query in queries for probe in _word_ngrams(query)}
-        assert set(value_table) == set(column_table) == probes
+    queries = queries + queries[:2]
+    probes = index.probes(queries)
+    assert list(probes) == list(dict.fromkeys(queries))
+    for query, (count, which, dims, values) in probes.items():
+        want = []
+        for text in _word_ngrams(query):
+            try:
+                vector = index.embedder.embed(text)
+            except EmbeddingError:
+                continue
+            (nonzero,) = np.nonzero(vector)
+            want.append((nonzero, vector[nonzero]))
+        assert count == len(want)
+        assert which.tolist() == [i for i, (nonzero, _) in enumerate(want) for _ in nonzero]
+        assert dims.tolist() == [d for nonzero, _ in want for d in nonzero.tolist()]
+        assert values.tobytes() == b"".join(v.tobytes() for _, v in want)
+    config = RetrievalConfig(threshold=0.3)
+    for query in queries:
+        assert index.search_values(query, config, probes=probes) == (
+            index.search_values(query, config))
+        assert index.search_values(query, config, column, probes) == (
+            index.search_values(query, config, column))
+        assert index.search_columns(query, catalog, config, probes) == (
+            index.search_columns(query, catalog, config))
