@@ -11,8 +11,11 @@ Any object with a ``dim`` attribute and an ``embed(text) -> np.ndarray``
 method can stand in for the default, e.g. a client for a hosted embedding
 model.  `SparseRows` stores such vectors for value search and few-shot
 selection; `embed_parts` fills it from many texts, the default embedder's
-in one vectorised trigram pass per block of texts, with no dense vectors
-and each distinct trigram hashed once per call.
+in one numpy pass per block of texts, with no dense vectors.  Python runs
+once per text only to strip and case-fold it, and, in a block that is not
+all ASCII, once per distinct character to ask `str.isalnum`; the
+trigrams' CRC-32 is worked out in numpy from their UTF-8 bytes, bit-equal
+to `zlib.crc32`.
 `SparseRows.best_scores` takes a search's probes stacked as arrays
 (`Probes`).  `block_probes` stacks the probes of many searches from one
 `embed_parts` call; `probe_nonzeros` works out a few texts one by one,
@@ -24,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 import zlib
-from functools import partial
 from itertools import chain
 from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
 
@@ -37,9 +39,9 @@ EMBEDDING_DIM = 512
 _BOUNDARY = "#"
 # What collapsing drops: exactly the characters that are not `str.isalnum`.
 _NOT_ALNUM = re.compile(r"[\W_]+")
+_ASCII_ALNUM = np.array([chr(c).isalnum() for c in range(128)])
 # Texts and vectors are taken this many at a time, bounding working arrays.
-_BLOCK = 256
-_KEY = 0x110000  # past the last code point: (c0*K + c1)*K + c2 keys a trigram
+_BLOCK = 1024
 Part = tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, dims, values of non-zeros
 _EMPTY: Part = (np.empty(0, np.int32), np.empty(0, np.uint8), np.empty(0))
 Probe = tuple[np.ndarray, np.ndarray]  # sorted non-zero dimensions, their values
@@ -60,11 +62,6 @@ def unit_normalize(vector: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         raise EmbeddingError("cannot normalize a zero vector")
     return vector / norm
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two unit vectors (plain dot product)."""
-    return float(np.dot(a, b))
 
 
 def _padded(text: str) -> str:
@@ -98,31 +95,80 @@ class TrigramEmbedder:
         return unit_normalize(counts)
 
 
-def _trigram_parts(padded: list[str], dim: int, first_row: int, known: dict[int, int]) -> list[Part]:
-    """The non-zeros of `TrigramEmbedder` vectors of padded texts, without
-    a dense vector: equal, to the bit, to `dense_parts` over `embed`.
-    `known` maps trigram keys to dimensions, and gains the keys it lacks."""
-    joined = "".join(padded)
-    codes = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
-    lengths = np.array([len(text) for text in padded], dtype=np.intp)
-    # A trigram starts at every position but the last two of each text.
-    starts = np.ones(len(joined), dtype=bool)
-    starts[np.subtract.outer(lengths.cumsum(), (1, 2))] = False
-    at = np.flatnonzero(starts)
-    keys = (codes[at] * _KEY + codes[at + 1]) * _KEY + codes[at + 2]
-    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    grams = unique.tolist()
-    for key, i in zip(grams, at[first].tolist()):
-        if key not in known:
-            known[key] = zlib.crc32(joined[i : i + 3].encode("utf-8")) % dim
-    hashed = np.array([known[key] for key in grams], dtype=np.intp)
-    text_of = np.repeat(np.arange(len(padded)), lengths - 2)
-    pairs, counts = np.unique(text_of * dim + hashed[inverse], return_counts=True)
+def _crc_table() -> np.ndarray:
+    """The byte table of CRC-32 (reflected polynomial 0xEDB88320), as `zlib` uses it."""
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    return table
+
+
+_CRC_TABLE = _crc_table()
+
+
+def _crc_step(crc: np.ndarray, byte: np.ndarray) -> np.ndarray:
+    """The CRC-32 registers after one more byte each."""
+    return _CRC_TABLE.take((crc ^ byte) & 0xFF) ^ (crc >> 8)
+
+
+def _crc32_trigrams(stream: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """`zlib.crc32` of the UTF-8 bytes of each trigram `stream[a : a + 3]`,
+    for `a` in `at`, from code points, with no Python per trigram."""
+    if stream.dtype == np.uint8:  # ASCII: each character is its one byte
+        crc = np.uint32(0xFFFFFFFF)
+        for k in range(3):  # the trigrams at every position, then those at `at`
+            crc = _crc_step(crc, stream[k : len(stream) - 2 + k])
+        return (crc ^ 0xFFFFFFFF)[at]
+    # A lone surrogate raises here, as `str.encode` does in `embed`.
+    utf8 = np.frombuffer(
+        stream.tobytes().decode("utf-32-le", "surrogatepass").encode("utf-8"), dtype=np.uint8
+    )
+    # A character takes 1 to 4 bytes; trigram a's are utf8[first : first + size].
+    width = 1 + (stream >= 0x80) + (stream >= 0x800) + (stream >= 0x10000)
+    ends = np.cumsum(width)
+    first = ends[at] - width[at]
+    size = ends[at + 2] - first
+    crc = np.full(len(at), 0xFFFFFFFF, dtype=np.uint32)
+    for k in range(int(size.max(initial=0))):
+        crc = np.where(k < size, _crc_step(crc, utf8.take(first + k, mode="clip")), crc)
+    return crc ^ 0xFFFFFFFF
+
+
+def _trigram_block(texts: Sequence[str], dim: int, first_row: int) -> tuple[Part, np.ndarray]:
+    """The non-zeros of the `TrigramEmbedder` vectors of the texts that
+    embed, numbered from `first_row`, and those texts' positions: equal, to
+    the bit, to `dense_parts` over `embed`, with no Python per trigram."""
+    folded = [text.strip().casefold() for text in texts]
+    joined = "".join(folded)
+    lengths = np.fromiter(map(len, folded), dtype=np.intp, count=len(folded))
+    if joined.isascii():
+        codes = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
+        alnum = _ASCII_ALNUM.take(codes)
+    else:  # `str.isalnum` once per distinct character
+        codes = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        alnum = np.array([chr(c).isalnum() for c in distinct.tolist()], dtype=bool)[inverse]
+    owner = np.repeat(np.arange(len(folded)), lengths)
+    alnums = np.bincount(owner[alnum], minlength=len(folded))
+    # As `_padded`: a text's alphanumerics, or all of it when it has none;
+    # an empty text does not embed.
+    kept = np.flatnonzero(lengths)
+    widths = np.where(alnums > 0, alnums, lengths)[kept]
+    chars = codes[alnum | (alnums == 0)[owner]]
+    # Kept text k is padded with a boundary marker on each side, so it has
+    # as many trigrams as characters, and trigram j of the block starts at
+    # j + 2k of the stream of padded texts.
+    at = np.arange(len(chars)) + np.repeat(np.arange(0, 2 * len(kept), 2), widths)
+    stream = np.full(len(chars) + 2 * len(kept), ord(_BOUNDARY), dtype=codes.dtype)
+    stream[at + 1] = chars
+    hashed = (_crc32_trigrams(stream, at) % dim).astype(np.intp)
+    text_of = np.repeat(np.arange(len(kept)), widths)
+    pairs, counts = np.unique(text_of * dim + hashed, return_counts=True)
     rows, dims = np.divmod(pairs, dim)
     # Sums of squared integer counts are exact: each norm is `np.linalg.norm`'s.
     norms = np.sqrt(np.bincount(rows, counts * counts))
     dims = dims.astype(np.min_scalar_type(dim))
-    return [((rows + first_row).astype(np.int32), dims, counts / norms[rows])]
+    return ((rows + first_row).astype(np.int32), dims, counts / norms[rows]), kept
 
 
 def dense_parts(vectors: Sequence[np.ndarray], dim: int, first_row: int = 0) -> list[Part]:
@@ -139,22 +185,23 @@ def dense_parts(vectors: Sequence[np.ndarray], dim: int, first_row: int = 0) -> 
 
 def embed_parts(embedder: Embedder, texts: Sequence[str]) -> tuple[list[Part], list[int]]:
     """The non-zeros of the texts that embed, a row each, and their indices."""
-    if isinstance(embedder, TrigramEmbedder):
-        # Each distinct trigram is hashed once per call, not once per block.
-        prepare, produce = _padded, partial(_trigram_parts, known={})
-    else:
-        prepare, produce = embedder.embed, dense_parts
     kept: list[int] = []
     parts: list[Part] = []
     for first in range(0, len(texts), _BLOCK):
-        rows = []
-        for i, text in enumerate(texts[first : first + _BLOCK], start=first):
+        block = texts[first : first + _BLOCK]
+        if isinstance(embedder, TrigramEmbedder):
+            part, embedded = _trigram_block(block, embedder.dim, len(kept))
+            parts.append(part)
+            kept += (embedded + first).tolist()
+            continue
+        vectors = []
+        for i, text in enumerate(block, start=first):
             try:
-                rows.append(prepare(text))
+                vectors.append(embedder.embed(text))
             except EmbeddingError:
                 continue
             kept.append(i)
-        parts += produce(rows, embedder.dim, len(kept) - len(rows))
+        parts += dense_parts(vectors, embedder.dim, len(kept) - len(vectors))
     return parts, kept
 
 

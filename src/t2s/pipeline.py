@@ -313,7 +313,10 @@ def run_pipeline(
                 include_shots=not config.no_fewshot,
             )
 
-        flagged = [i for i, r in enumerate(records) if classify_error(r.outcome) is not None]
+        # Candidates that share an outcome object share its class, worked out once.
+        outcomes = {id(r.outcome): r.outcome for r in records}
+        failing = {key for key, outcome in outcomes.items() if classify_error(outcome) is not None}
+        flagged = [i for i, r in enumerate(records) if id(r.outcome) in failing]
         if slow_model:
             with ThreadPoolExecutor(CORRECTION_THREADS) as pool:
                 results = list(pool.map(chain, flagged))

@@ -282,12 +282,15 @@ def vote_detail(candidates: Sequence[VoteCandidate]) -> VoteResult:
     """
     if not candidates:
         raise VoteError("no candidates to vote over")
-    eligible = [
-        i
-        for i, candidate in enumerate(candidates)
-        if candidate.outcome.status == "Rows"
-        and not is_empty_rows(candidate.outcome.rows)
-    ]
+    # Candidates that share an outcome object share its eligibility and its
+    # answer key, each worked out once.
+    outcomes = {id(candidate.outcome): candidate.outcome for candidate in candidates}
+    keys = {
+        key: answer_key(outcome.rows)
+        for key, outcome in outcomes.items()
+        if outcome.status == "Rows" and not is_empty_rows(outcome.rows)
+    }
+    eligible = [i for i, candidate in enumerate(candidates) if id(candidate.outcome) in keys]
     if not eligible:
         return VoteResult(
             winner_index=0,
@@ -298,14 +301,9 @@ def vote_detail(candidates: Sequence[VoteCandidate]) -> VoteResult:
             excluded=len(candidates),
             fallback=True,
         )
-    # Candidates that share an outcome object share its key, worked out once.
-    keys: dict[int, tuple] = {}
     groups: dict = {}
     for i in eligible:
-        outcome = candidates[i].outcome
-        if id(outcome) not in keys:
-            keys[id(outcome)] = answer_key(outcome.rows)
-        groups.setdefault(keys[id(outcome)], []).append(i)
+        groups.setdefault(keys[id(candidates[i].outcome)], []).append(i)
     best_group = max(groups.values(), key=lambda idx: (len(idx), -min(idx)))
     winner = min(
         best_group,

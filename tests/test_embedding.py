@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 
 from t2s import TrigramEmbedder
 from t2s.embedding import (
-    _NOT_ALNUM, EMBEDDING_DIM, SparseRows, block_probes, cosine, dense_parts, probe_nonzeros,
+    _NOT_ALNUM, EMBEDDING_DIM, SparseRows, block_probes, dense_parts, probe_nonzeros,
     unit_normalize,
 )
 from t2s.errors import EmbeddingError
+
+
+def cosine(a, b):
+    """Cosine similarity of two unit vectors (plain dot product)."""
+    return float(np.dot(a, b))
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +131,7 @@ def _stacked(probes):
     )
 
 
-@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600, 1023, 1024, 1025])
 def test_sparse_rows_scores_as_dense_loop(n):
     # Row counts on both sides of the build's block size.
     rng = np.random.default_rng(n)

@@ -15,7 +15,6 @@ from t2s import (
     TrigramEmbedder,
     mask_question,
 )
-from t2s.embedding import cosine
 from t2s.errors import IngestError
 from t2s.fewshot import (
     COT_MARKERS,
@@ -283,7 +282,7 @@ def _old_selection(shots, question, k, embedder, restrict_db=None):
     """The per-shot loop selection used to run: (-cosine, index) order."""
     query = embedder.embed(mask_question(question))
     scored = [
-        (-cosine(query, embedder.embed(mask_question(shot.question))), i, shot)
+        (-float(np.dot(query, embedder.embed(mask_question(shot.question)))), i, shot)
         for i, shot in enumerate(shots)
         if restrict_db is None or shot.db_id == restrict_db
     ]

@@ -272,6 +272,19 @@ def test_pipeline_winner_of_one_distinct_sql_is_its_first_member(e2e):
     assert winners == {1}
 
 
+def test_pipeline_classifies_each_distinct_outcome_once(e2e, monkeypatch):
+    # Six samples, one statement: one shared outcome, checked for empty rows
+    # once to pick the chains to start and once for the vote.
+    checked = []
+    original = t2s.refine.is_empty_rows
+    monkeypatch.setattr(t2s.refine, "is_empty_rows",
+                        lambda rows: checked.append(rows) or original(rows))
+    result = _run_samples(e2e, [FEMALE] * 6)
+    assert checked == [((3,),), ((3,),)]
+    assert result.trace["correction"]["attempted"] == 0
+    assert result.trace["vote"]["group_size"] == 6
+
+
 @pytest.mark.parametrize("delay_s", [0, None], ids=["fast", "slow"])
 def test_pipeline_starts_a_chain_only_for_a_failing_candidate(e2e, slow_gateway, monkeypatch,
                                                               delay_s):

@@ -368,6 +368,26 @@ def test_vote_excludes_errors_and_empties():
     assert result.excluded == 3
 
 
+def test_vote_checks_and_keys_each_distinct_outcome_once(monkeypatch):
+    # Seven candidates over three outcome objects, as samples that share a
+    # statement share its outcome: one empty, one with rows, one erroring.
+    empty = ExecutionOutcome(status="Rows", rows=(), elapsed=0.001)
+    rows = ExecutionOutcome(status="Rows", rows=((1,),), elapsed=0.001)
+    error = ExecutionOutcome(status="Error", rows=(), elapsed=0.001)
+    candidates = [VoteCandidate(f"s{i}", outcome)
+                  for i, outcome in enumerate([rows, empty, rows, error, empty, rows, rows])]
+    checked, keyed = [], []
+    monkeypatch.setattr(t2s.refine, "is_empty_rows",
+                        lambda result: checked.append(result) or is_empty_rows(result))
+    monkeypatch.setattr(t2s.refine, "answer_key",
+                        lambda result: keyed.append(result) or answer_key(result))
+    result = vote_detail(candidates)
+    assert (result.winner_index, result.group_indices) == (0, [0, 2, 5, 6])
+    assert (result.eligible, result.excluded) == (4, 3)
+    assert sorted(checked) == [(), ((1,),)]
+    assert keyed == [((1,),)]
+
+
 def test_vote_all_ineligible_falls_back_to_first():
     candidates = [
         rows_candidate("a", (), status="Error"),

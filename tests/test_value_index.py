@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from t2s import TrigramEmbedder, ValueIndex, ingest_schema
 from t2s import embedding
-from t2s.embedding import SparseRows, cosine, dense_parts
+from t2s.embedding import SparseRows, dense_parts
 from t2s.errors import EmbeddingError, IndexBuildError
 from t2s.schema import ColumnSelection
 from t2s.value_index import MAX_EMBED_CHARS, RetrievalConfig, _word_ngrams
@@ -308,7 +308,8 @@ def test_batch_leaves_out_the_records_the_dense_path_leaves_out():
     runs = [("cell_value", "T", "c", texts)]
     runs += [("column_name", "T", name, [name]) for name in ("", "c", "  ", "Total $")]
     runs *= 60  # 840 entries: several blocks of the batch
-    batch = ValueIndex("db", runs)
+    with mock.patch.object(embedding, "_BLOCK", 256):
+        batch = ValueIndex("db", runs)
     _assert_same_index(batch, ValueIndex("db", runs, _DenseTrigrams()))
     kept = ["Alice", "Bob Ray", "+", "x" * 300, "ab", " é "] * 60
     assert [e.text for e in batch.entries if e.kind == "cell_value"] == kept
@@ -321,8 +322,21 @@ def test_batch_leaves_out_the_records_the_dense_path_leaves_out():
         assert getattr(batch._cell_store, array).tobytes() == getattr(want, array).tobytes()
 
 
+# Characters whose trigrams the batch pass must work out as `embed` does:
+# case folds that change the length (ß, İ, ﬁ, ŉ), both sigmas, digits that
+# are not ASCII (٣, ²), 2-, 3- and 4-byte UTF-8 with the first and last
+# code point of each length, the boundary marker, NUL, and ASCII symbols,
+# blanks and alphanumerics.
+_TRICKY = "ßİﬁŉΣσς٣²éЖ€中𝔘😀\x7f\x80\u07ff\u0800\uffff\U00010000\U0010ffff#\x00_.- aZ9"
+
 _batch_texts = st.one_of(
     st.text(max_size=12),  # any Unicode, blanks included
+    st.text(st.characters(max_codepoint=0x7F), max_size=12),  # ASCII only
+    st.text(st.sampled_from(_TRICKY), min_size=1, max_size=8),
+    st.sampled_from(["#", "##", "a#b", "#a#", "\x00", "a\x00", "ß", "İ", "ﬁ", "ŉ", "ΣΑΣ", "ς"]),
+    # No alphanumerics: the whole text is hashed, code points of each
+    # UTF-8 length among them.
+    st.text(st.sampled_from("\x7f\x80\u07ff\uffff\U0010ffff#-"), min_size=1, max_size=5),
     st.text(st.characters(whitelist_categories=("P", "S", "Zs")), min_size=1, max_size=6),
     st.text(min_size=1, max_size=2),
     st.text(" \t\n\u00a0\u2003", min_size=1, max_size=4),
@@ -338,6 +352,8 @@ _batch_texts = st.one_of(
     columns=st.lists(_batch_texts, max_size=5),
     block=st.sampled_from([1, 2, 3, 256]),
 )
+# A lone surrogate next to alphanumerics is collapsed away before hashing.
+@example(cells=["a\ud800b", "\udfffx1", "ok"], columns=["c\ud800"], block=2)
 def test_batch_store_equals_the_dense_store(cells, columns, block):
     runs = [("cell_value", "T", "c", cells)]
     runs += [("column_name", "T", text, [text]) for text in columns]
@@ -345,6 +361,30 @@ def test_batch_store_equals_the_dense_store(cells, columns, block):
         batch = ValueIndex("db", runs)
         dense = ValueIndex("db", runs, _DenseTrigrams())
     _assert_same_index(batch, dense)
+
+
+def test_build_and_load_call_neither_crc32_nor_padded(tmp_path, clinical_db, clinical_catalog):
+    # The batch pass pads and hashes in numpy, not text by text in Python.
+    path = tmp_path / "index.jsonl"
+    with mock.patch.object(zlib, "crc32", wraps=zlib.crc32) as crc32, \
+            mock.patch.object(embedding, "_padded", wraps=embedding._padded) as padded:
+        built = ValueIndex.build(clinical_db, clinical_catalog)
+        built.save(path)
+        loaded = ValueIndex.load(path)
+    assert (crc32.call_count, padded.call_count) == (0, 0)
+    _assert_same_index(loaded, built)
+    assert built.cell_count() == 15
+
+
+@pytest.mark.parametrize("texts", [["\ud800"], ["ok", " \udfff "], ["+\ud83d", "a"]])
+def test_a_text_that_cannot_be_encoded_raises_as_in_embed(texts):
+    # A lone surrogate survives collapsing only in a text with no
+    # alphanumerics; `embed` then fails to encode it.
+    with pytest.raises(UnicodeEncodeError):
+        for text in texts:
+            TrigramEmbedder().embed(text)
+    with pytest.raises(UnicodeEncodeError):
+        ValueIndex("db", [("cell_value", "T", "c", texts)])
 
 
 # -- saved files ----------------------------------------------------------
@@ -370,9 +410,10 @@ def test_a_loaded_index_stores_the_same_bytes(index_path, cells, columns):
     runs = [("cell_value", t, c, [text] * n) for text, t, c, n in cells]
     runs += [("column_name", t, text, [text] * n) for text, t, _, n in columns]
     runs *= 600 // sum(len(texts) for *_, texts in runs) + 1
-    index = ValueIndex("db", runs)
-    index.save(index_path)
-    loaded = ValueIndex.load(index_path)
+    with mock.patch.object(embedding, "_BLOCK", 256):
+        index = ValueIndex("db", runs)
+        index.save(index_path)
+        loaded = ValueIndex.load(index_path)
     _assert_same_index(loaded, index)
     _assert_same_index(loaded, ValueIndex("db", runs, _DenseTrigrams()))
 
@@ -471,7 +512,7 @@ def brute_force_search(index, query, config, restrict=None):
     cells = [e for e in index.entries if e.kind == "cell_value"]
     scored = []
     for i, entry in enumerate(cells):
-        sim = max(cosine(p, entry.vector) for p in probes)
+        sim = max(float(np.dot(p, entry.vector)) for p in probes)
         scored.append((i, entry, sim))
     scored.sort(key=lambda item: (-item[2], item[0]))
     out = []
