@@ -12,10 +12,9 @@ method can stand in for the default, e.g. a client for a hosted embedding
 model.  `SparseRows` stores such vectors for value search and few-shot
 selection; `embed_parts` fills it from many texts, the default embedder's
 in one numpy pass per block of texts, with no dense vectors.  Python runs
-once per text only to strip and case-fold it, and, in a block that is not
-all ASCII, once per distinct character to ask `str.isalnum`; the
-trigrams' CRC-32 is worked out in numpy from their UTF-8 bytes, bit-equal
-to `zlib.crc32`.
+once per text only to strip and case-fold it, and once per distinct
+non-ASCII character of a block to ask `str.isalnum`; the trigrams' CRC-32
+is worked out in numpy from their UTF-8 bytes, bit-equal to `zlib.crc32`.
 `SparseRows.best_scores` takes a search's probes stacked as arrays
 (`Probes`).  `block_probes` stacks the probes of many searches from one
 `embed_parts` call; `probe_nonzeros` works out a few texts one by one,
@@ -40,8 +39,10 @@ _BOUNDARY = "#"
 # What collapsing drops: exactly the characters that are not `str.isalnum`.
 _NOT_ALNUM = re.compile(r"[\W_]+")
 _ASCII_ALNUM = np.array([chr(c).isalnum() for c in range(128)])
-# Texts and vectors are taken this many at a time, bounding working arrays.
-_BLOCK = 1024
+# Dense vectors, and texts for the trigram pass, are taken this many at a
+# time, bounding working arrays.
+_BLOCK = 256
+_TEXT_BLOCK = 1024
 Part = tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, dims, values of non-zeros
 _EMPTY: Part = (np.empty(0, np.int32), np.empty(0, np.uint8), np.empty(0))
 Probe = tuple[np.ndarray, np.ndarray]  # sorted non-zero dimensions, their values
@@ -114,22 +115,21 @@ def _crc_step(crc: np.ndarray, byte: np.ndarray) -> np.ndarray:
 def _crc32_trigrams(stream: np.ndarray, at: np.ndarray) -> np.ndarray:
     """`zlib.crc32` of the UTF-8 bytes of each trigram `stream[a : a + 3]`,
     for `a` in `at`, from code points, with no Python per trigram."""
-    if stream.dtype == np.uint8:  # ASCII: each character is its one byte
-        crc = np.uint32(0xFFFFFFFF)
-        for k in range(3):  # the trigrams at every position, then those at `at`
-            crc = _crc_step(crc, stream[k : len(stream) - 2 + k])
-        return (crc ^ 0xFFFFFFFF)[at]
     # A lone surrogate raises here, as `str.encode` does in `embed`.
     utf8 = np.frombuffer(
         stream.tobytes().decode("utf-32-le", "surrogatepass").encode("utf-8"), dtype=np.uint8
     )
-    # A character takes 1 to 4 bytes; trigram a's are utf8[first : first + size].
-    width = 1 + (stream >= 0x80) + (stream >= 0x800) + (stream >= 0x10000)
-    ends = np.cumsum(width)
-    first = ends[at] - width[at]
-    size = ends[at + 2] - first
-    crc = np.full(len(at), 0xFFFFFFFF, dtype=np.uint32)
-    for k in range(int(size.max(initial=0))):
+    # Each character's first byte is the one that is not a continuation byte.
+    starts = np.append(np.flatnonzero((utf8 & 0xC0) != 0x80), len(utf8))
+    first = starts[at]
+    size = (starts[3:] - starts[:-3])[at]
+    # A trigram has 3 to 12 bytes: the CRC of the 3 bytes at every offset,
+    # read at each trigram's first, then the longer trigrams' other bytes.
+    crc = np.uint32(0xFFFFFFFF)
+    for k in range(3):
+        crc = _crc_step(crc, utf8[k : len(utf8) - 2 + k])
+    crc = crc[first]
+    for k in range(3, int(size.max(initial=3))):
         crc = np.where(k < size, _crc_step(crc, utf8.take(first + k, mode="clip")), crc)
     return crc ^ 0xFFFFFFFF
 
@@ -141,13 +141,12 @@ def _trigram_block(texts: Sequence[str], dim: int, first_row: int) -> tuple[Part
     folded = [text.strip().casefold() for text in texts]
     joined = "".join(folded)
     lengths = np.fromiter(map(len, folded), dtype=np.intp, count=len(folded))
-    if joined.isascii():
-        codes = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
-        alnum = _ASCII_ALNUM.take(codes)
-    else:  # `str.isalnum` once per distinct character
-        codes = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        distinct, inverse = np.unique(codes, return_inverse=True)
-        alnum = np.array([chr(c).isalnum() for c in distinct.tolist()], dtype=bool)[inverse]
+    codes = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    # From a table for ASCII, and `str.isalnum` once per distinct other character.
+    alnum = _ASCII_ALNUM.take(codes, mode="clip")
+    wide = np.flatnonzero(codes >= 0x80)
+    distinct, inverse = np.unique(codes[wide], return_inverse=True)
+    alnum[wide] = np.array([chr(c).isalnum() for c in distinct.tolist()], dtype=bool)[inverse]
     owner = np.repeat(np.arange(len(folded)), lengths)
     alnums = np.bincount(owner[alnum], minlength=len(folded))
     # As `_padded`: a text's alphanumerics, or all of it when it has none;
@@ -187,15 +186,16 @@ def embed_parts(embedder: Embedder, texts: Sequence[str]) -> tuple[list[Part], l
     """The non-zeros of the texts that embed, a row each, and their indices."""
     kept: list[int] = []
     parts: list[Part] = []
-    for first in range(0, len(texts), _BLOCK):
-        block = texts[first : first + _BLOCK]
-        if isinstance(embedder, TrigramEmbedder):
+    if isinstance(embedder, TrigramEmbedder):
+        for first in range(0, len(texts), _TEXT_BLOCK):
+            block = texts[first : first + _TEXT_BLOCK]
             part, embedded = _trigram_block(block, embedder.dim, len(kept))
             parts.append(part)
             kept += (embedded + first).tolist()
-            continue
+        return parts, kept
+    for first in range(0, len(texts), _BLOCK):
         vectors = []
-        for i, text in enumerate(block, start=first):
+        for i, text in enumerate(texts[first : first + _BLOCK], start=first):
             try:
                 vectors.append(embedder.embed(text))
             except EmbeddingError:

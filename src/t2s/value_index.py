@@ -34,7 +34,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .embedding import (
-    _EMPTY, EMBEDDING_DIM, Embedder, Probes, SparseRows, TrigramEmbedder, block_probes,
+    EMBEDDING_DIM, Embedder, Probes, SparseRows, TrigramEmbedder, block_probes,
     embed_parts, probe_nonzeros,
 )
 # EmbeddingError stays importable from here, where callers import it.
@@ -140,40 +140,24 @@ class ValueIndex:
             key = (table.casefold(), column.casefold())
             by_column.setdefault(key, []).append(np.arange(start, stop))
         self._by_column = {key: np.concatenate(rows) for key, rows in by_column.items()}
-        # Columns also match their qualified "table.column" spelling, embedded
-        # in the same call.  A column whose name does not embed is left out,
-        # and so is its qualified spelling.
-        columns = self._entries(by_kind["column_name"])
-        texts = [e.text[:MAX_EMBED_CHARS] for e in columns]
-        texts += [f"{e.table}.{e.column}" for e in columns]
-        parts, kept = embed_parts(self.embedder, texts)
-        kept = np.array(kept, dtype=np.intp)
-        named = kept[kept < len(columns)]
-        self._columns = [columns[i] for i in named.tolist()]
-        # Row i of the column store is kept column i's name, row
-        # len(self._columns) + i its qualified spelling.
-        row_of = np.full(len(texts), -1)
-        row_of[np.concatenate((named, named + len(columns)))] = np.arange(2 * len(named))
-        rows, dims, values = (np.concatenate(arrays) for arrays in zip(*parts, _EMPTY))
-        rows = row_of[kept[rows]]
-        stored = rows >= 0
-        self._column_store = SparseRows(
-            [(rows[stored].astype(np.int32), dims[stored], values[stored])],
-            2 * len(named), self.dim,
-        )
+        self._columns, parts, _ = self._embedded(by_kind["column_name"])
+        # Columns also match their qualified "table.column" spelling: row
+        # len(columns) + i of the column store is column i's, and is empty
+        # if the embedder refuses the spelling.
+        qualified, kept = embed_parts(self.embedder, [f"{e.table}.{e.column}" for e in self._columns])
+        row_of = np.array(kept, dtype=np.int32) + len(self._columns)
+        parts += [(row_of[rows], dims, values) for rows, dims, values in qualified]
+        self._column_store = SparseRows(parts, 2 * len(self._columns), self.dim)
         self.entries = self._cells + self._columns
         # Per column, case-folded text -> the column's texts in row order;
         # built on a column's first lookup (see `stored_spelling`).
         self._spellings: dict[tuple[str, str], dict[str, list[str]]] = {}
 
-    def _entries(self, runs: list[Run]) -> list[IndexedEntry]:
-        return [IndexedEntry(kind, text, table, column, self.embedder)
-                for kind, table, column, texts in runs for text in texts]
-
     def _embedded(self, runs: list[Run]):
         """The runs' entries whose text embeds, their non-zeros, and the
         bounds of each run's rows: a run's kept entries are consecutive rows."""
-        entries = self._entries(runs)
+        entries = [IndexedEntry(kind, text, table, column, self.embedder)
+                   for kind, table, column, texts in runs for text in texts]
         parts, kept = embed_parts(self.embedder, [e.text[:MAX_EMBED_CHARS] for e in entries])
         bounds = np.searchsorted(kept, np.cumsum([0] + [len(texts) for *_, texts in runs]))
         return [entries[i] for i in kept], parts, bounds

@@ -131,7 +131,7 @@ def _stacked(probes):
     )
 
 
-@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600, 1023, 1024, 1025])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
 def test_sparse_rows_scores_as_dense_loop(n):
     # Row counts on both sides of the build's block size.
     rng = np.random.default_rng(n)

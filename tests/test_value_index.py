@@ -308,7 +308,7 @@ def test_batch_leaves_out_the_records_the_dense_path_leaves_out():
     runs = [("cell_value", "T", "c", texts)]
     runs += [("column_name", "T", name, [name]) for name in ("", "c", "  ", "Total $")]
     runs *= 60  # 840 entries: several blocks of the batch
-    with mock.patch.object(embedding, "_BLOCK", 256):
+    with mock.patch.object(embedding, "_TEXT_BLOCK", 256):
         batch = ValueIndex("db", runs)
     _assert_same_index(batch, ValueIndex("db", runs, _DenseTrigrams()))
     kept = ["Alice", "Bob Ray", "+", "x" * 300, "ab", " é "] * 60
@@ -357,7 +357,7 @@ _batch_texts = st.one_of(
 def test_batch_store_equals_the_dense_store(cells, columns, block):
     runs = [("cell_value", "T", "c", cells)]
     runs += [("column_name", "T", text, [text]) for text in columns]
-    with mock.patch.object(embedding, "_BLOCK", block):
+    with mock.patch.multiple(embedding, _BLOCK=block, _TEXT_BLOCK=block):
         batch = ValueIndex("db", runs)
         dense = ValueIndex("db", runs, _DenseTrigrams())
     _assert_same_index(batch, dense)
@@ -410,7 +410,7 @@ def test_a_loaded_index_stores_the_same_bytes(index_path, cells, columns):
     runs = [("cell_value", t, c, [text] * n) for text, t, c, n in cells]
     runs += [("column_name", t, text, [text] * n) for text, t, _, n in columns]
     runs *= 600 // sum(len(texts) for *_, texts in runs) + 1
-    with mock.patch.object(embedding, "_BLOCK", 256):
+    with mock.patch.object(embedding, "_TEXT_BLOCK", 256):
         index = ValueIndex("db", runs)
         index.save(index_path)
         loaded = ValueIndex.load(index_path)
@@ -659,6 +659,30 @@ def test_any_embedder_search_matches_dense_scan(stub_index, threshold, top_k):
         assert index.search_columns(query, catalog, config) == ColumnSelection.of(
             catalog, [(e.table, e.column) for e, _score in ranked]
         )
+
+
+class _RefusingOneSpelling(_SignedBigramEmbedder):
+    def embed(self, text):
+        if text.casefold() == "person.name":
+            raise EmbeddingError("refused")
+        return super().embed(text)
+
+
+def test_a_refused_qualified_spelling_leaves_its_row_empty():
+    embedder = _RefusingOneSpelling()
+    runs = [("column_name", table, column, [column])
+            for table, column in (("Person", "name"), ("Person", "city"), ("Town", "city"))]
+    index = ValueIndex("stub", runs, embedder)
+    columns = index.entries
+    assert [(e.table, e.column) for e in columns] == [run[1:3] for run in runs]
+    for text in ("name", "person city", "town.city", "kalo"):
+        probe = embedder.embed(text)
+        scores = index._column_store.best_scores(embedding.probe_nonzeros(embedder, [text]))
+        bare = [_dense_score([probe], e.vector) for e in columns]
+        qualified = [0.0] + [
+            _dense_score([probe], embedder.embed(f"{e.table}.{e.column}")) for e in columns[1:]
+        ]
+        assert scores.tolist() == bare + qualified
 
 
 def test_top_k_zero_returns_nothing(clinical_index, clinical_catalog):
