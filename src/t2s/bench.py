@@ -36,7 +36,7 @@ from .refine import ExecutionOutcome, SqlSession, answer_key
 from .sql_ast import parse_select
 
 REPORT_FORMAT = "t2s-report"
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 # (minimum gold_time/pred_time ratio, reward); first match wins.
 RVES_TIERS: tuple[tuple[float, float], ...] = (
@@ -257,7 +257,6 @@ def run_bench(
             "top_k": config.top_k,
             "correction_max_rounds": config.correction_max_rounds,
             "execution_timeout_s": config.execution_timeout_s,
-            "timing_repeats": config.timing_repeats,
             "ablations": {name: getattr(config, name) for name in ABLATION_FLAGS},
         },
         "rves_tiers": [list(tier) for tier in RVES_TIERS] if with_rves else None,

@@ -42,7 +42,6 @@ CONFIG_FLAGS = (
     ("--threshold", "threshold", float, "retrieval similarity cutoff"),
     ("--top-k", "top_k", int, "retrieval result cap"),
     ("--timeout", "execution_timeout_s", float, "per-query execution deadline in seconds"),
-    ("--timing-repeats", "timing_repeats", int, "executions per timing measurement"),
     ("--model", "model_name", str, "model name sent to the endpoint"),
 )
 

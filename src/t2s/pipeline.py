@@ -76,9 +76,6 @@ class PipelineConfig:
     refinement_temperature: float = 0.7
     correction_max_rounds: int = 2
     execution_timeout_s: float = 30.0
-    # Runs per timing of each distinct SQL in a winning vote group that
-    # holds more than one; only the fastest-member tie-break reads it.
-    timing_repeats: int = 3
     # model
     model_name: str = "gpt-4o"
     max_tokens: int = 2048
@@ -342,13 +339,6 @@ def run_pipeline(
         winner_index = 0
     else:
         result = vote_detail(vote_input)
-        group_sql = dict.fromkeys(records[i].sql for i in result.group_indices)
-        if len(group_sql) > 1:
-            # Only the fastest-member tie-break reads `elapsed`: time the
-            # group's distinct statements with repeats and vote again.
-            for sql in group_sql:
-                session.time(sql, config.timing_repeats)
-            result = vote_detail(vote_input)
         winner_index = result.winner_index
         trace["vote"] = {
             "winner_index": result.winner_index,

@@ -116,8 +116,9 @@ def execute_sql(
     replaced the one it held (a new `st_dev`/`st_ino`).  Each query gets
     its own deadline, and no statement stays open after it, so another
     process can write between two queries and the next one sees the
-    write.  `elapsed` times the query alone, not the opening of the
-    connection.  Runs with repeats go through `SqlSession.time`.
+    write.  `elapsed` times the query alone: the connection is opened,
+    and its schema loaded, before the clock starts.  Runs with repeats
+    go through `SqlSession.time`.
     """
     if _first_keyword(sql) not in _READ_KEYWORDS:
         return ExecutionOutcome(
@@ -142,7 +143,8 @@ def _connection(db_path: str | Path) -> sqlite3.Connection:
     The file is known by its path and its (st_dev, st_ino), so a database
     replaced at the same path is opened afresh rather than read through
     the handle of the file it replaced.  The old connection is closed
-    first: a thread holds at most one.
+    first: a thread holds at most one.  A new connection loads the schema
+    before it is held; one that cannot is closed and its error raised.
     """
     path = os.path.abspath(db_path)
     try:
@@ -154,8 +156,15 @@ def _connection(db_path: str | Path) -> sqlite3.Connection:
         if _held.conn is not None:
             _held.conn.close()
             _held.key = _held.conn = None
-        _held.conn = connect_read_only(path)
-        _held.key = key
+        conn = connect_read_only(path)
+        try:
+            # A statement that names a table makes SQLite load the schema
+            # now, so the first query is not timed with that load.
+            conn.execute("SELECT count(*) FROM sqlite_master").fetchall()
+        except sqlite3.Error:
+            conn.close()
+            raise
+        _held.conn, _held.key = conn, key
     return _held.conn
 
 
@@ -176,7 +185,8 @@ def _execute_once(db_path: str | Path, sql: str, timeout_s: float) -> ExecutionO
         if "interrupted" in str(exc).lower() or time.perf_counter() > deadline:
             return ExecutionOutcome(status="Timeout", error_text="Timeout", elapsed=elapsed)
         return ExecutionOutcome(status="Error", error_text=str(exc), elapsed=elapsed)
-    except sqlite3.Error as exc:
+    except (sqlite3.Error, sqlite3.Warning) as exc:
+        # Before Python 3.11, a second statement raises `sqlite3.Warning`.
         elapsed = time.perf_counter() - start
         return ExecutionOutcome(status="Error", error_text=str(exc), elapsed=elapsed)
     finally:
@@ -276,9 +286,9 @@ def vote_detail(candidates: Sequence[VoteCandidate]) -> VoteResult:
     not get a say.  The largest agreeing group wins; between equal-size
     groups the one containing the earliest candidate wins; inside the
     winning group the fastest candidate by `outcome.elapsed` wins, the
-    earliest of equally fast ones.  `run_pipeline` measures that time
-    only for a group of two or more distinct SQL strings.  When nobody
-    is eligible the first candidate is returned, flagged as a fallback.
+    earliest of equally fast ones.  That time is the one run execution
+    made; nothing is run again for the vote.  When nobody is eligible
+    the first candidate is returned, flagged as a fallback.
     """
     if not candidates:
         raise VoteError("no candidates to vote over")
@@ -365,12 +375,13 @@ def build_correction_prompt(
 
 
 class SqlSession:
-    """One question's alignment, execution and timing, once per distinct SQL.
+    """One question's alignment and execution, once per distinct SQL.
 
-    One lock covers all three, so correction chains on several threads
-    share every outcome and never run two statements at once.  Without
-    an alignment context (`no_alignments`) `align` returns the statement
-    unchanged.  `time` is the one place a statement runs more than once.
+    One lock covers both, so correction chains on several threads share
+    every outcome and never run two statements at once.  Without an
+    alignment context (`no_alignments`) `align` returns the statement
+    unchanged.  `time` is the one place a statement runs more than once;
+    the pipeline never calls it, and `run_bench` does for R-VES.
     """
 
     def __init__(self, db_path: str | Path, align_ctx: Optional[AlignmentContext] = None,

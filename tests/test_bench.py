@@ -307,7 +307,7 @@ def bench_run(e2e):
 def test_run_bench_report_shape(bench_run):
     tasks, report = bench_run
     assert report["format"] == "t2s-report"
-    assert report["version"] == 2
+    assert report["version"] == 3
     assert len(report["tasks"]) == len(tasks) == 10
     overall = report["aggregates"]["overall"]
     assert overall["n"] == 10

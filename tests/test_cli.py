@@ -149,7 +149,6 @@ def test_ablate_command(e2e, tmp_path, capsys):
             "--library", str(e2e.library_path),
             "--transcript", str(e2e.transcript_path),
             "--n-candidates", "3",
-            "--timing-repeats", "1",
             "--out", str(out),
         ]
     )
@@ -233,7 +232,6 @@ FLAG_CASES = [
     ("--threshold", "0.25", "threshold", 0.25),
     ("--top-k", "9", "top_k", 9),
     ("--timeout", "1.5", "execution_timeout_s", 1.5),
-    ("--timing-repeats", "2", "timing_repeats", 2),
     ("--model", "some-model", "model_name", "some-model"),
 ]
 
@@ -244,7 +242,6 @@ CONFIG_FLAG_HELP = {
     "--threshold": (float, "THRESHOLD", "retrieval similarity cutoff"),
     "--top-k": (int, "TOP_K", "retrieval result cap"),
     "--timeout": (float, "TIMEOUT", "per-query execution deadline in seconds"),
-    "--timing-repeats": (int, "TIMING_REPEATS", "executions per timing measurement"),
     "--model": (str, "MODEL", "model name sent to the endpoint"),
 }
 

@@ -244,24 +244,23 @@ def test_pipeline_aligns_and_executes_each_distinct_sql_once(e2e, sql_calls):
     assert [c.correction_rounds for c in result.candidates] == [0, 0, 0, 1, 1]
     assert [sql for kind, sql in sql_calls if kind == "align"] == [FEMALE, lower, bad]
     executed = [sql for kind, sql in sql_calls if kind == "execute"]
-    # one distinct SQL in the winning group: no timing repeats
+    # each distinct SQL runs once
     assert len(executed) == 2
     assert executed[0] == FEMALE and "PatientID" in executed[1]
     assert result.winner_index == 0
     assert result.rows == ((3,),)
 
 
-def test_pipeline_times_only_a_mixed_winning_group(e2e, sql_calls):
+def test_pipeline_runs_each_statement_of_a_mixed_winning_group_once(e2e, sql_calls):
     by_id = "SELECT COUNT(ID) FROM Patient WHERE SEX = 'F'"
     everyone = "SELECT COUNT(*) FROM Patient"
     result = _run_samples(e2e, [FEMALE, by_id, FEMALE, everyone])
     group = {result.candidates[i].sql for i in (0, 1, 2)}
     assert len(group) == 2
-    # each statement of the group runs `timing_repeats` times in all, its
-    # first run included; the statement outside it runs once
+    # the tie-break reads the time of the one run execution made: no
+    # statement, in the winning group or outside it, runs again
     executed = Counter(sql for kind, sql in sql_calls if kind == "execute")
-    assert executed == {**dict.fromkeys(group, e2e.config.timing_repeats),
-                        result.candidates[3].sql: 1}
+    assert executed == {**dict.fromkeys(group, 1), result.candidates[3].sql: 1}
     assert result.winner_index in (0, 1)
     assert result.rows == ((3,),)
 

@@ -241,6 +241,64 @@ def test_a_thread_holds_at_most_one_connection(tmp_path, monkeypatch):
     assert states == {i: [False, False, False, True] for i in range(4)}
 
 
+def test_a_fresh_connection_has_loaded_the_schema(tmp_path):
+    # SQLite loads the schema at the first statement that needs it; a held
+    # connection has done that before its first query is run and timed.
+    path = tmp_path / "wide.sqlite"
+    conn = sqlite3.connect(path)
+    for i in range(30):
+        conn.execute(f"CREATE TABLE t{i} (id INTEGER PRIMARY KEY, name TEXT, score REAL)")
+    conn.commit()
+    conn.close()
+    held = t2s.refine._connection(path)
+    steps = []
+
+    def count():
+        steps[-1] += 1
+        return 0
+
+    held.set_progress_handler(count, 1)
+    try:
+        for _ in range(2):
+            steps.append(0)
+            held.execute("SELECT count(*) FROM t7").fetchall()
+    finally:
+        held.set_progress_handler(None, 0)
+    assert steps[0] == steps[1]
+
+
+def test_a_connection_that_cannot_load_the_schema_is_closed(tmp_path, monkeypatch):
+    opened = []
+    original = t2s.refine.connect_read_only
+
+    def recording_connect(db_path):
+        opened.append(original(db_path))
+        return opened[-1]
+
+    monkeypatch.setattr(t2s.refine, "connect_read_only", recording_connect)
+    path = tmp_path / "not-a-database.sqlite"
+    path.write_bytes(b"not a database" * 100)
+    for _ in range(2):  # nothing failed is held: the second call opens again
+        out = execute_sql(path, "SELECT v FROM t")
+        assert out.status == "Error" and "not a database" in out.error_text
+    assert len(opened) == 2
+    for conn in opened:
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
+
+
+def test_execute_reports_an_error_that_is_not_operational(clinical_db):
+    # Two statements in one: the driver refuses them, with
+    # `sqlite3.ProgrammingError` from Python 3.11 and `sqlite3.Warning`
+    # before; either is reported, not raised.
+    out = execute_sql(clinical_db, "SELECT 1; SELECT 2")
+    assert out.status == "Error" and out.rows == ()
+    assert "one statement" in out.error_text
+    assert classify_error(out) is ErrorType.OTHER
+    out = execute_sql(clinical_db, "SELECT COUNT(*) FROM Patient")
+    assert (out.status, out.rows) == ("Rows", ((5,),))
+
+
 # -- classification -------------------------------------------------------
 
 
